@@ -1,4 +1,4 @@
-.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench clean
+.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench perfbench-smoke clean
 
 all: build
 
@@ -54,6 +54,17 @@ bench-json: build
 validate-bench: build
 	dune exec bench/main.exe -- validate
 
+# One-second run of every perfbench workload: each must exit 0 and
+# report "correct": true on its final JSON line.
+perfbench-smoke: build
+	@for w in fleet-serve guest-memory clone-migrate; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) \
+			|| { echo "perfbench-smoke: $$w exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+			|| { echo "perfbench-smoke: $$w did not report \"correct\": true"; exit 1; }; \
+		echo "perfbench-smoke: $$w ok"; \
+	done
+
 # Formatting check; a no-op (with a note) where ocamlformat is not
 # installed, so `ci` works in minimal containers too.
 fmt:
@@ -64,11 +75,13 @@ fmt:
 	fi
 
 # The pre-PR gate: formatting (when available), the full test suite,
-# then the example/demo scenarios under the invariant scanner.
+# the example/demo scenarios under the invariant scanner, the artifact
+# parse check, and a smoke run of the perfbench workloads.
 ci: build fmt
 	dune runtest
 	$(MAKE) check
 	$(MAKE) validate-bench
+	$(MAKE) perfbench-smoke
 
 examples: build
 	dune exec examples/quickstart.exe

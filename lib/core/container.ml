@@ -130,7 +130,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       fault_service_ns = Hw.Cost.pf_handler_cki;
       syscall_round_trip =
         (fun () ->
-          Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit;
+          Hw.Clock.charge_id clock Kernel_model.Platform.id_syscall Hw.Cost.syscall_entry_exit;
           if not cfg.Config.opt2 then
             (* ablation: page-table switch to/from the guest kernel *)
             Hw.Clock.charge clock "cki_wo_opt2" (2.0 *. Hw.Cost.cr3_switch);
@@ -159,10 +159,8 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       (* Single-stage: the buddy hands out real hPA frames inside the
          delegated segment, so ring bytes are directly addressable (and
          the Analysis sanitizer audits them like any guest page). *)
-      guest_read_word =
-        (fun pfn index -> Hw.Phys_mem.read_entry (Hw.Machine.mem machine) ~pfn ~index);
-      guest_write_word =
-        (fun pfn index v -> Hw.Phys_mem.write_entry (Hw.Machine.mem machine) ~pfn ~index v);
+      mem = Hw.Machine.mem machine;
+      guest_frame = Fun.id;
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

@@ -87,6 +87,10 @@ let ksm_call (t : t) (cpu : Hw.Cpu.t) ~vcpu ?tamper_entry ?tamper_exit (f : unit
             Ok result
         | Error e -> abort e)
 
+(* Exit events on the request path, interned once. *)
+let id_cki_hypercall = Hw.Clock.intern "cki_hypercall"
+let id_cki_irq_exit = Hw.Clock.intern "cki_irq_exit"
+
 (* Hypercall gate (Figure 8b, left): full exit to the host kernel.
    [tamper_entry]/[tamper_exit] simulate an attacker reaching either
    wrpkrs with a chosen register value, exactly as in [ksm_call]. *)
@@ -114,7 +118,7 @@ let hypercall (t : t) (cpu : Hw.Cpu.t) ~vcpu ?tamper_entry ?tamper_exit
         (* exit_to_host: CR3 to the host kernel, registers, IBRS. *)
         cpu.Hw.Cpu.cr3 <- t.host_cr3;
         cpu.Hw.Cpu.pcid <- t.host_pcid;
-        Hw.Clock.charge t.clock "cki_hypercall" Hw.Cost.cki_hypercall;
+        Hw.Clock.charge_id t.clock id_cki_hypercall Hw.Cost.cki_hypercall;
         host_handler request;
         (* resume: restore guest context *)
         cpu.Hw.Cpu.cr3 <- guest_cr3;
@@ -154,7 +158,7 @@ let interrupt (t : t) (cpu : Hw.Cpu.t) ~vcpu ~vector ~(kind : Hw.Idt.delivery)
   else begin
     let area = Pervcpu.area (Ksm.pervcpu t.ksm) vcpu in
     area.Pervcpu.exit_reason <- Some (Pervcpu.Exit_interrupt vector);
-    Hw.Clock.charge t.clock "cki_irq_exit" Hw.Cost.irq_delivery;
+    Hw.Clock.charge_id t.clock id_cki_irq_exit Hw.Cost.irq_delivery;
     host_handler vector;
     area.Pervcpu.exit_reason <- None;
     (* iret with PKRS = 0 (allowed), restoring the saved PKRS (E4). *)

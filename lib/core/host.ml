@@ -137,6 +137,11 @@ let reclaim_segment t ~container =
 
 let delegations_of t ~container = List.filter (fun d -> d.container = container) t.delegations
 
+(* Host events on the request path, interned once. *)
+let id_doorbell_write = Hw.Clock.intern "doorbell_write"
+let id_host_irq_handler = Hw.Clock.intern "host_irq_handler"
+let id_virq_inject = Hw.Clock.intern "virq_inject"
+
 (* Host-side handler for hypercall requests (the global-data privileged
    operations of Section 3.3: VirtIO, timers, vCPU pause, IPIs). *)
 let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
@@ -148,7 +153,7 @@ let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
          The VirtIO service cost is charged by the queue owner
          (Kernel_model.Virtio.service); here only the write itself. *)
       t.doorbells <- t.doorbells + 1;
-      Hw.Clock.charge t.clock "doorbell_write" Hw.Cost.doorbell_write
+      Hw.Clock.charge_id t.clock id_doorbell_write Hw.Cost.doorbell_write
   | Kernel_model.Platform.Timer -> Hw.Clock.charge t.clock "host_timer_setup" 120.0
   | Kernel_model.Platform.Ipi -> Hw.Clock.charge t.clock "host_ipi" 200.0
   | Kernel_model.Platform.Console -> ()
@@ -159,11 +164,11 @@ let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
 let handle_hw_interrupt t ~vector =
   ignore vector;
   t.hw_interrupts <- t.hw_interrupts + 1;
-  Hw.Clock.charge t.clock "host_irq_handler" Hw.Cost.irq_delivery
+  Hw.Clock.charge_id t.clock id_host_irq_handler Hw.Cost.irq_delivery
 
 let inject_virq t =
   t.injected_virqs <- t.injected_virqs + 1;
-  Hw.Clock.charge t.clock "virq_inject" Hw.Cost.virq_inject
+  Hw.Clock.charge_id t.clock id_virq_inject Hw.Cost.virq_inject
 
 let hypercall_count t = t.hypercalls
 let injected_virqs t = t.injected_virqs

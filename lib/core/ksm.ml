@@ -263,6 +263,8 @@ type import = {
       (** every live table's non-empty entries, relocated *)
 }
 
+let id_restore_table = Hw.Clock.intern "snapshot_restore_table"
+
 let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
   let t =
     {
@@ -293,7 +295,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
     (fun (pfn, entries) ->
       Hw.Phys_mem.clear_table mem pfn;
       List.iter (fun (index, v) -> write_raw t ~pfn ~index v) entries;
-      Hw.Clock.charge clock "snapshot_restore_table" Hw.Cost.restore_frame)
+      Hw.Clock.charge_id clock id_restore_table Hw.Cost.restore_frame)
     imp.i_tables;
   List.iter (fun (root, copies) -> Hashtbl.replace t.roots root { copies }) imp.i_roots;
   (* The direct map is never imported: its VA layout keys on physical
@@ -304,7 +306,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
      from the new segment bases and splice it into every root. *)
   let direct_l3 = build_direct_map t imp.i_segments in
   let rec charge_direct lvl pfn =
-    Hw.Clock.charge clock "snapshot_restore_table" Hw.Cost.restore_frame;
+    Hw.Clock.charge_id clock id_restore_table Hw.Cost.restore_frame;
     if lvl > 1 then
       for idx = 0 to Hw.Addr.entries_per_table - 1 do
         let e = read_raw t ~pfn ~index:idx in
@@ -332,12 +334,16 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
 (* Gate-accounted entry points                                         *)
 (* ------------------------------------------------------------------ *)
 
+let id_ksm_call = Hw.Clock.intern "ksm_call"
+let id_gate_pti = Hw.Clock.intern "gate_pti"
+let id_gate_ibrs = Hw.Clock.intern "gate_ibrs"
+
 let charge_call t =
   t.ksm_calls <- t.ksm_calls + 1;
-  Hw.Clock.charge t.clock "ksm_call" Hw.Cost.ksm_call;
+  Hw.Clock.charge_id t.clock id_ksm_call Hw.Cost.ksm_call;
   if t.cfg.Config.pti_in_gates then begin
-    Hw.Clock.charge t.clock "gate_pti" Hw.Cost.pti_overhead;
-    Hw.Clock.charge t.clock "gate_ibrs" Hw.Cost.ibrs_overhead
+    Hw.Clock.charge_id t.clock id_gate_pti Hw.Cost.pti_overhead;
+    Hw.Clock.charge_id t.clock id_gate_ibrs Hw.Cost.ibrs_overhead
   end
 
 (* Probe hooks: report each entry point's outcome, and every PTE

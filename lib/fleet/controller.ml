@@ -448,6 +448,7 @@ let run_tenant cfg tenant ~seed =
         p99 (phase d_end infinity) )
     end
   in
+  let p50, p95, p99 = Ioplane.Serve.p50_p95_p99 !latencies in
   let merge_pool_stats () =
     Array.fold_left
       (fun (a : Snapshot.Pool.stats) p ->
@@ -471,9 +472,9 @@ let run_tenant cfg tenant ~seed =
     tr_shed_inflight = Admission.shed_inflight admission;
     tr_completed = !completed;
     tr_mean_us = Report.Stats.mean !latencies;
-    tr_p50_us = Report.Stats.percentile !latencies ~p:50.0;
-    tr_p95_us = Report.Stats.percentile !latencies ~p:95.0;
-    tr_p99_us = Report.Stats.percentile !latencies ~p:99.0;
+    tr_p50_us = p50;
+    tr_p95_us = p95;
+    tr_p99_us = p99;
     tr_windows = Autoscaler.windows autoscaler;
     tr_breaches = Autoscaler.breaches autoscaler;
     tr_scale_outs = !scale_outs;

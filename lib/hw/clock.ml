@@ -5,131 +5,109 @@
    assertions ("a PVM page fault performs 6 context switches") and the
    benches can print breakdowns.
 
-   Two tiers of accounting:
+   One tier: a process-wide registry gives every event name a dense
+   integer id ([intern]), and each clock keeps a flat count array and a
+   flat (unboxed) float array indexed by id.  Hot call sites intern
+   their names once at module initialisation and charge through
+   [charge_id]: a bounds check plus two array stores, no hashing, no
+   allocation.  The string entry points ([charge], [occurrences], ...)
+   resolve the name through the registry first, so both feed the same
+   counters.  The registry is an [Atomic.t] over an immutable map,
+   updated by compare-and-set, so domains may intern concurrently. *)
 
-   - the general string-keyed path ([charge]/[count]) backed by
-     hashtables — fine for cold events (boots, snapshots, gate
-     crossings);
-   - a fast path for the engine's per-access hot events: a handful of
-     well-known event names are pre-interned at fixed integer ids
-     ([id_tlb_hit] &c.), charged through flat arrays ([charge_id]) with
-     no hashing or boxing.  Every query ([occurrences], [spent_on],
-     [events], [pp]) merges both tiers, so callers cannot observe which
-     tier an event was charged through. *)
+module Names = Map.Make (String)
 
-(* Well-known hot events, interned at fixed ids.  Ids are part of the
-   accounting format; append only. *)
-let id_tlb_hit = 0
-let id_tlb_miss_walk = 1
-let id_virtio_copy = 2
-let id_virtio_post = 3
-let id_virtio_service = 4
-let id_virtio_event_idx = 5
-let id_virtio_doorbell = 6
-let num_ids = 7
+(* [names] is copied on every registration and never written after
+   publication. *)
+type registry = { ids : int Names.t; names : string array }
 
-let id_name = function
-  | 0 -> "tlb_hit"
-  | 1 -> "tlb_miss_walk"
-  | 2 -> "virtio_copy"
-  | 3 -> "virtio_post"
-  | 4 -> "virtio_service"
-  | 5 -> "virtio_event_idx"
-  | 6 -> "virtio_doorbell"
-  | _ -> invalid_arg "Clock.id_name"
+let registry = Atomic.make { ids = Names.empty; names = [||] }
+
+let rec intern name =
+  let r = Atomic.get registry in
+  match Names.find name r.ids with
+  | id -> id
+  | exception Not_found ->
+      let id = Array.length r.names in
+      let r' = { ids = Names.add name id r.ids; names = Array.append r.names [| name |] } in
+      if Atomic.compare_and_set registry r r' then id else intern name
+
+(* Query-side lookup: never registers [name]. *)
+let find name = match Names.find name (Atomic.get registry).ids with id -> id | exception Not_found -> -1
+
+let id_tlb_hit = intern "tlb_hit"
+let id_tlb_miss_walk = intern "tlb_miss_walk"
+let id_virtio_copy = intern "virtio_copy"
+let id_virtio_post = intern "virtio_post"
+let id_virtio_service = intern "virtio_service"
+let id_virtio_event_idx = intern "virtio_event_idx"
+let id_virtio_doorbell = intern "virtio_doorbell"
 
 type t = {
-  mutable now_ns : float;
-  counters : (string, int) Hashtbl.t;
-  spent : (string, float) Hashtbl.t;
-  id_counts : int array;  (** well-known tier, indexed by id *)
-  id_spent : float array;
+  now_ns : float array;  (** one cell: a flat float, so advancing time never allocates *)
+  mutable counts : int array;  (** indexed by event id *)
+  mutable spent : float array;
 }
 
 let create () =
-  {
-    now_ns = 0.0;
-    counters = Hashtbl.create 64;
-    spent = Hashtbl.create 64;
-    id_counts = Array.make num_ids 0;
-    id_spent = Array.make num_ids 0.0;
-  }
+  let n = max 64 (Array.length (Atomic.get registry).names) in
+  { now_ns = [| 0.0 |]; counts = Array.make n 0; spent = Array.make n 0.0 }
 
-let now t = t.now_ns
+let now t = t.now_ns.(0)
 
-(* Charge [ns] of simulated time attributed to the pre-interned event
-   [id]: two array stores, no hashing, no allocation. *)
+(* Cold path: make room for [id] (interned after this clock was
+   created). *)
+let grow t id =
+  let n = max (id + 1) (2 * Array.length t.counts) in
+  let counts = Array.make n 0 and spent = Array.make n 0.0 in
+  Array.blit t.counts 0 counts 0 (Array.length t.counts);
+  Array.blit t.spent 0 spent 0 (Array.length t.spent);
+  t.counts <- counts;
+  t.spent <- spent
+
+(* Charge [ns] of simulated time attributed to the event [id]. *)
 let charge_id t id ns =
-  t.now_ns <- t.now_ns +. ns;
-  t.id_counts.(id) <- t.id_counts.(id) + 1;
-  t.id_spent.(id) <- t.id_spent.(id) +. ns
+  if id >= Array.length t.counts then grow t id;
+  t.now_ns.(0) <- t.now_ns.(0) +. ns;
+  t.counts.(id) <- t.counts.(id) + 1;
+  t.spent.(id) <- t.spent.(id) +. ns
 
-let count_id t id = t.id_counts.(id) <- t.id_counts.(id) + 1
+let count_id t id =
+  if id >= Array.length t.counts then grow t id;
+  t.counts.(id) <- t.counts.(id) + 1
 
-(* Resolve a string event name to its well-known id, if any.  Only used
-   on cold paths (queries, and the string [charge] below). *)
-let id_of_name = function
-  | "tlb_hit" -> 0
-  | "tlb_miss_walk" -> 1
-  | "virtio_copy" -> 2
-  | "virtio_post" -> 3
-  | "virtio_service" -> 4
-  | "virtio_event_idx" -> 5
-  | "virtio_doorbell" -> 6
-  | _ -> -1
-
-(* Charge [ns] of simulated time attributed to [event].  Well-known
-   names are redirected to the fast tier so both charge paths feed the
-   same counters. *)
-let charge t event ns =
-  let id = id_of_name event in
-  if id >= 0 then charge_id t id ns
-  else begin
-    t.now_ns <- t.now_ns +. ns;
-    Hashtbl.replace t.counters event (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters event));
-    Hashtbl.replace t.spent event (ns +. Option.value ~default:0.0 (Hashtbl.find_opt t.spent event))
-  end
+let charge t event ns = charge_id t (intern event) ns
 
 (* Record an event occurrence without advancing time. *)
-let count t event =
-  let id = id_of_name event in
-  if id >= 0 then count_id t id
-  else
-    Hashtbl.replace t.counters event (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters event))
+let count t event = count_id t (intern event)
 
 (* Advance time without attributing it to a named event (pure compute). *)
-let advance t ns = t.now_ns <- t.now_ns +. ns
+let advance t ns = t.now_ns.(0) <- t.now_ns.(0) +. ns
 
 let occurrences t event =
-  let id = id_of_name event in
-  if id >= 0 then t.id_counts.(id)
-  else Option.value ~default:0 (Hashtbl.find_opt t.counters event)
+  let id = find event in
+  if id >= 0 && id < Array.length t.counts then t.counts.(id) else 0
 
 let spent_on t event =
-  let id = id_of_name event in
-  if id >= 0 then t.id_spent.(id)
-  else Option.value ~default:0.0 (Hashtbl.find_opt t.spent event)
+  let id = find event in
+  if id >= 0 && id < Array.length t.spent then t.spent.(id) else 0.0
 
 let reset t =
-  t.now_ns <- 0.0;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.spent;
-  Array.fill t.id_counts 0 num_ids 0;
-  Array.fill t.id_spent 0 num_ids 0.0
+  t.now_ns.(0) <- 0.0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.fill t.spent 0 (Array.length t.spent) 0.0
 
 (* Run [f] and return its result together with the simulated time it
    consumed. *)
 let timed t f =
-  let t0 = t.now_ns in
+  let t0 = now t in
   let r = f () in
-  (r, t.now_ns -. t0)
+  (r, now t -. t0)
 
 let events t =
-  let acc = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] in
-  let acc = ref acc in
-  for i = 0 to num_ids - 1 do
-    if t.id_counts.(i) > 0 then acc := (id_name i, t.id_counts.(i)) :: !acc
-  done;
+  let names = (Atomic.get registry).names in
+  let acc = ref [] in
+  Array.iteri (fun id n -> if n > 0 then acc := (names.(id), n) :: !acc) t.counts;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 (* Ordered reduction support for the domain-sharded engine: fold [src]'s
@@ -137,23 +115,18 @@ let events t =
    clocks in a fixed lane order, so merged totals are deterministic
    (float additions happen in the same order every run). *)
 let add_into ~into src =
-  into.now_ns <- into.now_ns +. src.now_ns;
-  for i = 0 to num_ids - 1 do
-    into.id_counts.(i) <- into.id_counts.(i) + src.id_counts.(i);
-    into.id_spent.(i) <- into.id_spent.(i) +. src.id_spent.(i)
-  done;
-  List.iter
-    (fun (e, n) ->
-      if id_of_name e < 0 then begin
-        Hashtbl.replace into.counters e (n + Option.value ~default:0 (Hashtbl.find_opt into.counters e));
-        let ns = Option.value ~default:0.0 (Hashtbl.find_opt src.spent e) in
-        Hashtbl.replace into.spent e (ns +. Option.value ~default:0.0 (Hashtbl.find_opt into.spent e))
-      end)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b)
-       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.counters []))
+  advance into (now src);
+  let n = Array.length src.counts in
+  if n > Array.length into.counts then grow into (n - 1);
+  for id = 0 to n - 1 do
+    if src.counts.(id) > 0 then begin
+      into.counts.(id) <- into.counts.(id) + src.counts.(id);
+      into.spent.(id) <- into.spent.(id) +. src.spent.(id)
+    end
+  done
 
 let pp fmt t =
-  Format.fprintf fmt "@[<v>clock: %.0f ns@," t.now_ns;
+  Format.fprintf fmt "@[<v>clock: %.0f ns@," (now t);
   List.iter
     (fun (e, n) -> Format.fprintf fmt "  %-32s %8d  %12.0f ns@," e n (spent_on t e))
     (events t);

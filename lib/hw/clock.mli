@@ -16,12 +16,17 @@ val charge : t -> string -> float -> unit
 (** [charge t event ns] advances simulated time by [ns], attributed to
     [event] (occurrence count and total ns are both recorded). *)
 
-(** {1 Pre-interned hot events}
+(** {1 Interned event ids}
 
-    The engine's per-access costs are charged through fixed integer
-    ids backed by flat arrays — no hashing, no allocation.  The two
-    tiers feed the same counters: [occurrences t "tlb_hit"] sees
-    charges made through [charge_id t id_tlb_hit]. *)
+    Every event name has one dense process-wide id; a clock keeps flat
+    arrays indexed by id, so charging through an id is a bounds check
+    plus two array stores — no hashing, no allocation.  The string
+    entry points resolve names through the same registry: [occurrences
+    t "tlb_hit"] sees charges made through [charge_id t id_tlb_hit]. *)
+
+val intern : string -> int
+(** The id of an event name, registering it on first use.  Safe to call
+    from several domains at once: each name gets exactly one id. *)
 
 val id_tlb_hit : int
 val id_tlb_miss_walk : int
@@ -31,11 +36,9 @@ val id_virtio_service : int
 val id_virtio_event_idx : int
 val id_virtio_doorbell : int
 
-val id_name : int -> string
-(** The event name a well-known id stands for. *)
-
 val charge_id : t -> int -> float -> unit
-(** [charge t (id_name id) ns], without the hashing. *)
+(** [charge_id t (intern name) ns] is [charge t name ns], without the
+    name lookup. *)
 
 val count_id : t -> int -> unit
 

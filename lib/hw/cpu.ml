@@ -120,12 +120,16 @@ let create ?(id = 0) ?(tlb_capacity = 1536) clock =
 
 let in_guest_kernel t = t.mode = Kernel && t.pkrs <> Pks.all_access
 
+let id_cr3_switch = Clock.intern "cr3_switch"
+let id_invlpg = Clock.intern "invlpg"
+let id_syscall_entry_exit = Clock.intern "syscall_entry_exit"
+
 (* Load CR3 (+PCID) without flushing other PCIDs' TLB entries. *)
 let load_cr3 t ~root ~pcid =
   t.cr3 <- root;
   t.pcid <- pcid;
   if Probe.active () then Probe.emit (Probe.Cr3_load { cpu = t.id; pcid; root });
-  Clock.charge t.clock "cr3_switch" Cost.cr3_switch
+  Clock.charge_id t.clock id_cr3_switch Cost.cr3_switch
 
 (* ------------------------------------------------------------------ *)
 (* Privileged-instruction execution (extension E2)                     *)
@@ -179,7 +183,7 @@ let exec_priv t (inst : Priv.t) : (unit, fault) result =
         Tlb.invlpg t.tlb ~pcid:t.pcid va;
         if Probe.active () then
           Probe.emit (Probe.Tlb_invlpg { cpu = t.id; pcid = t.pcid; vpn = Addr.vpn_of_va va });
-        Clock.charge t.clock "invlpg" Cost.invlpg
+        Clock.charge_id t.clock id_invlpg Cost.invlpg
     | Priv.Invpcid ->
         Tlb.flush_pcid t.tlb ~pcid:t.pcid;
         if Probe.active () then Probe.emit (Probe.Tlb_flush_pcid { cpu = t.id; pcid = t.pcid })
@@ -340,7 +344,7 @@ let enter_user t = t.mode <- User
 let syscall_entry t =
   assert (t.mode = User);
   t.mode <- Kernel;
-  Clock.charge t.clock "syscall_entry_exit" Cost.syscall_entry_exit
+  Clock.charge_id t.clock id_syscall_entry_exit Cost.syscall_entry_exit
 
 (* Hardware interrupt arrival (extension E4): saves PKRS and zeroes it
    when the vectoring IDT entry carries the pks_switch attribute. *)

@@ -439,6 +439,60 @@ let write_entry t ~pfn ~index value =
   if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
   if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index
 
+(* Bulk payload access: [len] bytes of [b] from [off], packed
+   little-endian into the frame's words [0 .. (len+7)/8 - 1] with the
+   last word zero-padded — the layout VirtIO payload pages use.  One
+   trace event and one dirty-range update per call; an empty copy
+   touches nothing. *)
+let check_bytes t pfn b ~off ~len =
+  check_pfn t pfn;
+  if len < 0 || len > entries * 8 || off < 0 || off > Bytes.length b - len then
+    invalid_arg "Phys_mem: byte range"
+
+let write_bytes t ~pfn src ~off ~len =
+  check_bytes t pfn src ~off ~len;
+  if len > 0 then begin
+    trace_write t pfn;
+    let s = ensure_slot t pfn in
+    let base = s * entries and full = len / 8 in
+    for w = 0 to full - 1 do
+      Bigarray.Array1.set t.arena (base + w) (Bytes.get_int64_le src (off + (w * 8)))
+    done;
+    let rem = len - (full * 8) in
+    if rem > 0 then begin
+      let v = ref 0 in
+      for i = rem - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get src (off + (full * 8) + i))
+      done;
+      Bigarray.Array1.set t.arena (base + full) (Int64.of_int !v)
+    end;
+    let hi = ((len + 7) / 8) - 1 in
+    t.dirty_lo.(s) <- 0;
+    if hi > t.dirty_hi.(s) then t.dirty_hi.(s) <- hi
+  end
+
+let read_bytes t ~pfn dst ~off ~len =
+  check_bytes t pfn dst ~off ~len;
+  if len > 0 then begin
+    trace_read t pfn;
+    let s = t.table_slot.(pfn) in
+    if s < 0 then Bytes.fill dst off len '\000'
+    else begin
+      let base = s * entries and full = len / 8 in
+      for w = 0 to full - 1 do
+        Bytes.set_int64_le dst (off + (w * 8)) (Bigarray.Array1.get t.arena (base + w))
+      done;
+      let rem = len - (full * 8) in
+      if rem > 0 then begin
+        let v = ref (Int64.to_int (Bigarray.Array1.get t.arena (base + full))) in
+        for i = 0 to rem - 1 do
+          Bytes.set dst (off + (full * 8) + i) (Char.unsafe_chr (!v land 0xFF));
+          v := !v lsr 8
+        done
+      end
+    end
+  end
+
 let clear_table t pfn =
   check_pfn t pfn;
   trace_write t pfn;

@@ -90,5 +90,19 @@ val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
 
+val write_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
+(** [write_bytes t ~pfn src ~off ~len] stores [len] (at most 4096)
+    bytes of [src] starting at [off] into the frame, little-endian, in
+    words [0 .. (len+7)/8 - 1]; the last word's unused high bytes are
+    zero.  Same effect as one {!write_entry} per word, but reports the
+    frame once to the access trace and widens its dirty range once.
+    A zero-length copy touches nothing.
+    @raise Invalid_argument on an out-of-range pfn or byte range. *)
+
+val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
+(** [read_bytes t ~pfn dst ~off ~len] is the inverse of {!write_bytes}:
+    the first [len] bytes of the frame's little-endian word image into
+    [dst] from [off].  A frame never written reads as zeros. *)
+
 val count_owned : t -> (owner -> bool) -> int
 val free_frames : t -> int

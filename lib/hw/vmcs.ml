@@ -50,6 +50,9 @@ let reason_key = function
   | Cr_access -> "cr_access"
   | Msr_access -> "msr_access"
 
+let id_vmexit = Clock.intern "vmexit"
+let id_vmexit_nested = Clock.intern "vmexit_nested"
+
 (* Record a VM exit and return its cost given the deployment.  Nested
    exits pay the L0-redirection tax. *)
 let vm_exit t clock reason =
@@ -59,7 +62,7 @@ let vm_exit t clock reason =
     (k, 1 + Option.value ~default:0 (List.assoc_opt k t.exits_by_reason))
     :: List.remove_assoc k t.exits_by_reason;
   let cost = if t.nested then Cost.vmexit_nst else Cost.vmexit_bm in
-  Clock.charge clock (if t.nested then "vmexit_nested" else "vmexit") cost;
+  Clock.charge_id clock (if t.nested then id_vmexit_nested else id_vmexit) cost;
   cost
 
 let launch t = t.launched <- true

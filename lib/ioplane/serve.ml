@@ -40,6 +40,12 @@ let exit_events = function
   | "cki" -> [ "cki_hypercall"; "cki_irq_exit" ]
   | other -> invalid_arg ("Serve: unknown backend " ^ other)
 
+(* The three reported latency percentiles, from one sort. *)
+let p50_p95_p99 lat_us =
+  match Report.Stats.percentiles lat_us ~ps:[ 50.0; 95.0; 99.0 ] with
+  | [ p50; p95; p99 ] -> (p50, p95, p99)
+  | _ -> invalid_arg "Serve.p50_p95_p99"
+
 let count_events clock names =
   List.fold_left (fun acc e -> acc + Hw.Clock.occurrences clock e) 0 names
 
@@ -440,6 +446,7 @@ let run_core ?(seed = default_seed) cfg =
     List.fold_left (fun acc c -> acc + Kernel_model.Kernel.tx_stalls c.lane.Lane.kernel) 0 chans
   in
   let lat_us = List.map (fun ns -> ns /. 1e3) !latencies in
+  let p50, p95, p99 = p50_p95_p99 lat_us in
   let fl = float_of_int total in
   let label =
     match chans with c :: _ -> c.lane.Lane.backend.Virt.Backend.label | [] -> cfg.backend
@@ -454,9 +461,9 @@ let run_core ?(seed = default_seed) cfg =
       r_window = cfg.window;
       r_throughput_rps = fl /. (elapsed_ns /. 1e9);
       r_mean_us = Report.Stats.mean lat_us;
-      r_p50_us = Report.Stats.percentile lat_us ~p:50.0;
-      r_p95_us = Report.Stats.percentile lat_us ~p:95.0;
-      r_p99_us = Report.Stats.percentile lat_us ~p:99.0;
+      r_p50_us = p50;
+      r_p95_us = p95;
+      r_p99_us = p99;
       r_doorbells = doorbells;
       r_suppressed_kicks = suppressed_kicks;
       r_interrupts = interrupts;
@@ -524,6 +531,7 @@ let run_sharded ~domains cfg =
     if !span > !makespan then makespan := !span
   done;
   let lat_us = List.concat (List.init lanes (fun i -> let _, _, l, _ = out i in l)) in
+  let p50, p95, p99 = p50_p95_p99 lat_us in
   let containers = List.concat (List.init lanes (fun i -> let _, cs, _, _ = out i in cs)) in
   let r0, _, _, _ = out 0 in
   let total = sum_i (fun r -> r.r_requests) in
@@ -538,9 +546,9 @@ let run_sharded ~domains cfg =
       r_requests = total;
       r_throughput_rps = fl /. (!makespan /. 1e9);
       r_mean_us = Report.Stats.mean lat_us;
-      r_p50_us = Report.Stats.percentile lat_us ~p:50.0;
-      r_p95_us = Report.Stats.percentile lat_us ~p:95.0;
-      r_p99_us = Report.Stats.percentile lat_us ~p:99.0;
+      r_p50_us = p50;
+      r_p95_us = p95;
+      r_p99_us = p99;
       r_doorbells = doorbells;
       r_suppressed_kicks = sum_i (fun r -> r.r_suppressed_kicks);
       r_interrupts = interrupts;

@@ -115,6 +115,10 @@ val exit_events : string -> string list
 (** Clock event names that count as privilege-boundary exits for a
     backend (empty for runc). *)
 
+val p50_p95_p99 : float list -> float * float * float
+(** The p50/p95/p99 nearest-rank latencies of a sample, sorted once
+    ([nan]s when empty). *)
+
 val run : ?domains:int -> config -> result * Cki.Container.t list
 (** Build the fleet, serve every request, and collect counters. The
     returned containers (cki backend only) let callers run the

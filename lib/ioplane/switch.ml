@@ -47,13 +47,15 @@ let connect _t a b =
   a.link <- Some b.id;
   b.link <- Some a.id
 
+let id_switch_forward = Hw.Clock.intern "switch_forward"
+
 (* Forward one frame out of [src] to its linked peer: lookup + copy on
    the host CPU, then the frame sits in the peer's inbox until that
    side's service pass (or the load generator) drains it. *)
 let forward t ~(src : port) payload =
   src.tx_packets <- src.tx_packets + 1;
   src.tx_bytes <- src.tx_bytes + Bytes.length payload;
-  Hw.Clock.charge t.clock "switch_forward"
+  Hw.Clock.charge_id t.clock id_switch_forward
     (Hw.Cost.switch_forward +. (float_of_int (Bytes.length payload) *. Hw.Cost.copy_byte));
   match src.link with
   | None -> t.dropped <- t.dropped + 1

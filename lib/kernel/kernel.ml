@@ -86,17 +86,10 @@ let ensure_io t =
   match t.io with
   | Some io -> io
   | None ->
-      let access =
-        {
-          Virtio.read_word = t.platform.Platform.guest_read_word;
-          write_word = t.platform.Platform.guest_write_word;
-          alloc_frame = t.platform.Platform.alloc_frame;
-        }
-      in
       let q suffix =
         Virtio.create ~size:t.io_queue_size ~window:t.io_window
           ~name:(Printf.sprintf "%s%d-%s" t.platform.Platform.name t.id suffix)
-          access (clock t)
+          t.platform
       in
       let io = { tx = q "net-tx"; rx = q "net-rx"; blk = q "blk" } in
       t.io <- Some io;
@@ -317,7 +310,7 @@ let do_exit t (task : Task.t) code =
 let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
   t.syscall_count <- t.syscall_count + 1;
   t.platform.Platform.syscall_round_trip ();
-  Hw.Clock.charge (clock t) ("sys_" ^ Syscall.name sc) (Syscall.base_work sc);
+  Hw.Clock.charge_id (clock t) (Syscall.event_id sc) (Syscall.base_work sc);
   match sc with
   | Syscall.Getpid -> Syscall.Rint task.Task.pid
   | Syscall.Read { fd; n } -> do_read t task fd n
@@ -453,7 +446,7 @@ let deliver_packets t ~sid payloads =
           (Virtio.kick io.rx ~doorbell:(fun () ->
                t.platform.Platform.hypercall Platform.Net_rx_ack;
                match t.io_backend with Some b -> b.kicked `Net_rx | None -> ()));
-        Hw.Clock.charge (clock t) "virtio_service" Hw.Cost.virtio_backend_service;
+        Hw.Clock.charge_id (clock t) Hw.Clock.id_virtio_service Hw.Cost.virtio_backend_service;
         let missed = List.filter (fun p -> not (Virtio.fill io.rx ~data:p)) payloads in
         let injected =
           Virtio.complete ~force:true io.rx ~inject:(fun () ->

@@ -34,6 +34,9 @@ type t = {
   mutable resident : int;
 }
 
+let id_pf_service = Hw.Clock.intern "pf_service"
+let id_cow_break_copy = Hw.Clock.intern "cow_break_copy"
+
 let user_mmap_base = 0x7000_0000_0000
 let user_brk_base = 0x1000_0000_0000
 let user_stack_top = 0x7fff_ffff_0000
@@ -233,8 +236,8 @@ let cow_break t vpn =
           t.faults <- t.faults + 1;
           let p = t.platform in
           p.Platform.fault_round_trip ();
-          Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
-          Hw.Clock.charge p.Platform.clock "cow_break_copy" Hw.Cost.cow_break_copy;
+          Hw.Clock.charge_id p.Platform.clock id_pf_service p.Platform.fault_service_ns;
+          Hw.Clock.charge_id p.Platform.clock id_cow_break_copy Hw.Cost.cow_break_copy;
           p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write
             ~user:true;
           Hashtbl.replace t.pages vpn own;
@@ -250,7 +253,7 @@ let wp_break t vpn =
   t.faults <- t.faults + 1;
   let p = t.platform in
   p.Platform.fault_round_trip ();
-  Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
+  Hw.Clock.charge_id p.Platform.clock id_pf_service p.Platform.fault_service_ns;
   p.Platform.pte_protect t.aspace ~va ~writable:true;
   Hashtbl.remove t.wp vpn;
   Hashtbl.replace t.dirty vpn ()
@@ -324,7 +327,7 @@ let handle_fault t va ~write =
       t.faults <- t.faults + 1;
       let p = t.platform in
       p.Platform.fault_round_trip ();
-      Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
+      Hw.Clock.charge_id p.Platform.clock id_pf_service p.Platform.fault_service_ns;
       let pfn = p.Platform.alloc_frame () in
       p.Platform.pte_install t.aspace ~va:(Hw.Addr.page_align_down va) ~pfn
         ~writable:area.Vma.prot.Vma.write ~user:true;

@@ -38,6 +38,8 @@ let connect t a b =
 
 let get t id = Hashtbl.find t.endpoints id
 
+let id_net_wire = Hw.Clock.intern "net_wire"
+
 (* Send [payload] from [src] to its peer.  Wire time is *not* charged
    on the sender's clock: the NIC drains the queue asynchronously, so
    for server-throughput measurements only CPU-side costs (syscalls,
@@ -52,7 +54,7 @@ let send t (src : endpoint) payload =
       dst.rx_packets <- dst.rx_packets + 1;
       src.tx_bytes <- src.tx_bytes + Bytes.length payload;
       dst.rx_bytes <- dst.rx_bytes + Bytes.length payload;
-      Hw.Clock.count t.clock "net_wire";
+      Hw.Clock.count_id t.clock id_net_wire;
       Ok (Bytes.length payload)
 
 let recv (e : endpoint) =

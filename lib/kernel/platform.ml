@@ -43,14 +43,18 @@ type t = {
   virtualized_io : bool;
       (** I/O goes through VirtIO (doorbell exits + backend service);
           false for OS-level containers, which use host devices natively *)
-  (* -------- guest-memory word access -------- *)
-  guest_read_word : Hw.Addr.pfn -> int -> int64;
-      (** read one 64-bit word of a frame returned by [alloc_frame] —
-          the shared-memory path VirtIO rings live on.  The pfn is in
+  (* -------- guest-memory access -------- *)
+  mem : Hw.Phys_mem.t;  (** the machine memory behind [guest_frame] *)
+  guest_frame : Hw.Addr.pfn -> Hw.Addr.pfn;
+      (** the host frame of a frame returned by [alloc_frame] — the
+          shared-memory path VirtIO rings live on.  The argument is in
           the allocator's own namespace (a gfn under HVM/PVM, an hPA
-          frame under RunC/CKI); backends translate as needed. *)
-  guest_write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+          frame under RunC/CKI, where this is the identity). *)
 }
+
+(* The generic syscall entry/exit event every backend's
+   [syscall_round_trip] charges. *)
+let id_syscall = Hw.Clock.intern "syscall"
 
 (* A bare-hardware platform for the host kernel / RunC: direct paging,
    native syscalls, no hypercalls. *)
@@ -88,12 +92,12 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
     fault_round_trip = (fun () -> ());
     fault_service_ns = Hw.Cost.pf_handler_native;
     syscall_round_trip =
-      (fun () -> Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit);
+      (fun () -> Hw.Clock.charge_id clock id_syscall Hw.Cost.syscall_entry_exit);
     hypercall = (fun _ -> ());
     deliver_irq = (fun () -> Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery);
     virtualized_io = false;
-    guest_read_word = (fun pfn index -> Hw.Phys_mem.read_entry mem ~pfn ~index);
-    guest_write_word = (fun pfn index v -> Hw.Phys_mem.write_entry mem ~pfn ~index v);
+    mem;
+    guest_frame = Fun.id;
   }
 
 (* Look up the simulated page table behind a bare aspace — only exposed

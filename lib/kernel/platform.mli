@@ -38,13 +38,17 @@ type t = {
   virtualized_io : bool;
       (** I/O rides VirtIO (doorbell exits + backend service); false for
           OS-level containers using host devices natively *)
-  guest_read_word : Hw.Addr.pfn -> int -> int64;
-      (** read one 64-bit word of an [alloc_frame] frame (VirtIO rings
-          and payload buffers are real bytes in these pages); the pfn
+  mem : Hw.Phys_mem.t;  (** the machine memory behind [guest_frame] *)
+  guest_frame : Hw.Addr.pfn -> Hw.Addr.pfn;
+      (** the host frame of an [alloc_frame] frame (VirtIO rings and
+          payload buffers are real bytes in these pages); the argument
           is in the allocator's namespace — a gfn under HVM/PVM, an hPA
-          frame under RunC/CKI *)
-  guest_write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+          frame under RunC/CKI, where this is the identity *)
 }
+
+val id_syscall : int
+(** Interned ["syscall"]: the generic entry/exit event every backend's
+    [syscall_round_trip] charges. *)
 
 val bare : ?name:string -> Hw.Machine.t -> t
 (** Bare-hardware platform for the host kernel / RunC: direct paging,

@@ -60,28 +60,22 @@ let base_work = function
   | Sched_yield -> 50.0
   | Nanosleep _ -> 100.0
 
-let name = function
-  | Getpid -> "getpid"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Open _ -> "open"
-  | Close _ -> "close"
-  | Stat _ -> "stat"
-  | Fstat _ -> "fstat"
-  | Lseek _ -> "lseek"
-  | Fsync _ -> "fsync"
-  | Unlink _ -> "unlink"
-  | Mkdir _ -> "mkdir"
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Mprotect _ -> "mprotect"
-  | Brk _ -> "brk"
-  | Fork -> "fork"
-  | Execve -> "execve"
-  | Exit _ -> "exit"
-  | Pipe -> "pipe"
-  | Socket -> "socket"
-  | Send _ -> "send"
-  | Recv _ -> "recv"
-  | Sched_yield -> "sched_yield"
-  | Nanosleep _ -> "nanosleep"
+(* Constructor index into the per-syscall tables below. *)
+let tag = function
+  | Getpid -> 0 | Read _ -> 1 | Write _ -> 2 | Open _ -> 3 | Close _ -> 4 | Stat _ -> 5
+  | Fstat _ -> 6 | Lseek _ -> 7 | Fsync _ -> 8 | Unlink _ -> 9 | Mkdir _ -> 10 | Mmap _ -> 11
+  | Munmap _ -> 12 | Mprotect _ -> 13 | Brk _ -> 14 | Fork -> 15 | Execve -> 16 | Exit _ -> 17
+  | Pipe -> 18 | Socket -> 19 | Send _ -> 20 | Recv _ -> 21 | Sched_yield -> 22
+  | Nanosleep _ -> 23
+
+(* Names, and the interned ["sys_<name>"] clock event of each syscall:
+   the dispatcher charges by id, with no string built per call.  The
+   tables are private to the two closures and never written. *)
+let name, event_id =
+  let names =
+    [| "getpid"; "read"; "write"; "open"; "close"; "stat"; "fstat"; "lseek"; "fsync"; "unlink";
+       "mkdir"; "mmap"; "munmap"; "mprotect"; "brk"; "fork"; "execve"; "exit"; "pipe"; "socket";
+       "send"; "recv"; "sched_yield"; "nanosleep" |]
+  in
+  let ids = Array.map (fun n -> Hw.Clock.intern ("sys_" ^ n)) names in
+  ((fun sc -> names.(tag sc)), fun sc -> ids.(tag sc))

@@ -39,3 +39,7 @@ val base_work : t -> float
     structural costs (copies, lookups) charged by the implementation. *)
 
 val name : t -> string
+
+val event_id : t -> int
+(** The interned clock event (["sys_" ^ name sc]) the dispatcher
+    charges [base_work] to. *)

@@ -30,21 +30,15 @@
    return [`Full] after an opportunistic reclaim, and the kernel's
    backpressure path runs a host service pass and retries. *)
 
-type access = {
-  read_word : Hw.Addr.pfn -> int -> int64;
-  write_word : Hw.Addr.pfn -> int -> int64 -> unit;
-  alloc_frame : unit -> Hw.Addr.pfn;
-}
-
-let words_per_page = Hw.Addr.entries_per_table
-let bytes_per_page = words_per_page * 8
+let bytes_per_page = Hw.Addr.entries_per_table * 8
 let max_size = 256
 
 type t = {
   name : string;
   size : int;
   mutable window : int;  (** 0 = naive; >= 1 = EVENT_IDX batch window *)
-  access : access;
+  mem : Hw.Phys_mem.t;
+  guest_frame : Hw.Addr.pfn -> Hw.Addr.pfn;  (** the platform's pfn -> host frame *)
   clock : Hw.Clock.t;
   desc_page : Hw.Addr.pfn;
   avail_page : Hw.Addr.pfn;
@@ -84,10 +78,12 @@ let idx_word = 1
 let ring_word t i = 2 + (i mod t.size)
 let event_word t = 2 + t.size
 
-let rd t pfn i = t.access.read_word pfn i
-let wr t pfn i v = t.access.write_word pfn i v
+(* Ring words and payload pages are addressed in the allocator's pfn
+   namespace and translated to host frames on every access. *)
+let rd t pfn i = Hw.Phys_mem.read_entry t.mem ~pfn:(t.guest_frame pfn) ~index:i
+let wr t pfn i v = Hw.Phys_mem.write_entry t.mem ~pfn:(t.guest_frame pfn) ~index:i v
 
-let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
+let create ?(size = 64) ?(window = 1) ~name (p : Platform.t) =
   if size < 2 || size > max_size then invalid_arg "Virtio.create: size must be in 2..256";
   if window < 0 then invalid_arg "Virtio.create: negative window";
   let t =
@@ -95,12 +91,13 @@ let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
       name;
       size;
       window;
-      access;
-      clock;
-      desc_page = access.alloc_frame ();
-      avail_page = access.alloc_frame ();
-      used_page = access.alloc_frame ();
-      bufs = Array.init size (fun _ -> access.alloc_frame ());
+      mem = p.Platform.mem;
+      guest_frame = p.Platform.guest_frame;
+      clock = p.Platform.clock;
+      desc_page = p.Platform.alloc_frame ();
+      avail_page = p.Platform.alloc_frame ();
+      used_page = p.Platform.alloc_frame ();
+      bufs = Array.init size (fun _ -> p.Platform.alloc_frame ());
       free_stack = Array.init size (fun i -> size - 1 - i);
       n_free = size;
       head_ndesc = Array.make size (-1);
@@ -131,7 +128,7 @@ let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
   wr t t.avail_page (event_word t) 0L;
   wr t t.used_page idx_word 0L;
   wr t t.used_page (event_word t) 0L;
-  Hw.Clock.charge clock "virtio_ring_init" (3.0 *. Hw.Cost.page_zero);
+  Hw.Clock.charge t.clock "virtio_ring_init" (3.0 *. Hw.Cost.page_zero);
   t
 
 let size t = t.size
@@ -143,32 +140,15 @@ let free_descs t = t.n_free
 
 (* ---------------- payload bytes <-> page words ---------------- *)
 
+(* One page of a chain: translate once, then copy the whole span. *)
 let copy_into_page t pfn data ~off =
   let len = min bytes_per_page (Bytes.length data - off) in
-  let words = (len + 7) / 8 in
-  for w = 0 to words - 1 do
-    let v = ref 0L in
-    for b = 0 to 7 do
-      let i = off + (w * 8) + b in
-      if i < Bytes.length data then
-        v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code (Bytes.get data i))) (8 * b))
-    done;
-    wr t pfn w !v
-  done;
+  if len > 0 then Hw.Phys_mem.write_bytes t.mem ~pfn:(t.guest_frame pfn) data ~off ~len;
   len
 
 let copy_from_page t pfn data ~off =
   let len = min bytes_per_page (Bytes.length data - off) in
-  let words = (len + 7) / 8 in
-  for w = 0 to words - 1 do
-    let v = rd t pfn w in
-    for b = 0 to 7 do
-      let i = off + (w * 8) + b in
-      if i < Bytes.length data then
-        Bytes.set data i
-          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * b)) 0xFFL)))
-    done
-  done;
+  if len > 0 then Hw.Phys_mem.read_bytes t.mem ~pfn:(t.guest_frame pfn) data ~off ~len;
   len
 
 (* ---------------- descriptor chains ---------------- *)

@@ -13,19 +13,13 @@
     the guest-written used_event.  A full ring is graceful backpressure
     ([`Full]), never an exception. *)
 
-type access = {
-  read_word : Hw.Addr.pfn -> int -> int64;
-  write_word : Hw.Addr.pfn -> int -> int64 -> unit;
-  alloc_frame : unit -> Hw.Addr.pfn;
-}
-(** Guest-memory word access in the allocator's own pfn namespace
-    (backends translate gfns underneath). *)
-
 type t
 
-val create : ?size:int -> ?window:int -> name:string -> access -> Hw.Clock.t -> t
-(** [size] descriptors (2..256, default 64); [window] the EVENT_IDX
-    batch window (default 1; 0 = naive, no suppression). *)
+val create : ?size:int -> ?window:int -> name:string -> Platform.t -> t
+(** Ring and payload pages come from the platform's [alloc_frame] and
+    are reached through its [guest_frame] translation; costs go to its
+    clock.  [size] descriptors (2..256, default 64); [window] the
+    EVENT_IDX batch window (default 1; 0 = naive, no suppression). *)
 
 val size : t -> int
 val window : t -> int

@@ -15,15 +15,23 @@ let geomean xs =
 let minimum xs = List.fold_left min infinity xs
 let maximum xs = List.fold_left max neg_infinity xs
 
-(* Nearest-rank percentile (p in [0,100]) of an unsorted sample. *)
-let percentile xs ~p =
+(* Nearest-rank percentiles (each p in [0,100]) of an unsorted sample,
+   sorting it once.  The sort is stable, so equal-comparing values
+   (0.0 and -0.0) keep their input order exactly as a list sort would. *)
+let percentiles xs ~ps =
   match xs with
-  | [] -> nan
+  | [] -> List.map (fun _ -> nan) ps
   | _ ->
-      let sorted = List.sort compare xs in
-      let n = List.length sorted in
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+      let sorted = Array.of_list xs in
+      Array.stable_sort Float.compare sorted;
+      let n = Array.length sorted in
+      List.map
+        (fun p ->
+          let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+          sorted.(max 0 (min (n - 1) (rank - 1))))
+        ps
+
+let percentile xs ~p = List.hd (percentiles xs ~ps:[ p ])
 
 (* Normalize each value to [baseline] (baseline becomes 1.0). *)
 let normalize ~baseline xs = List.map (fun x -> x /. baseline) xs

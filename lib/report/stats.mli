@@ -9,6 +9,9 @@ val percentile : float list -> p:float -> float
 (** Nearest-rank percentile ([p] in 0..100) of an unsorted sample;
     [nan] on the empty list. *)
 
+val percentiles : float list -> ps:float list -> float list
+(** [percentile] at each of [ps], sorting the sample once. *)
+
 val normalize : baseline:float -> float list -> float list
 (** Each value divided by [baseline]. *)
 

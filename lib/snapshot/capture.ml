@@ -32,6 +32,8 @@ type map = { m_seg_bases : Hw.Addr.pfn array; m_aux : Hw.Addr.pfn array }
 
 exception Fail of error
 
+let id_capture_table = Hw.Clock.intern "snapshot_capture_table"
+
 (* Span of one entry at a level: 4 KiB at L1, 2 MiB at L2, ... *)
 let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
 
@@ -103,7 +105,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
           if not leaf then children := (target, va_base + (idx * span lvl)) :: !children
         end
       done;
-      Hw.Clock.charge clock "snapshot_capture_table" Hw.Cost.restore_frame;
+      Hw.Clock.charge_id clock id_capture_table Hw.Cost.restore_frame;
       tables_rev :=
         { Image.t_frame = frame_ref; t_level = lvl; t_va = va_base; t_entries = List.rev !entries }
         :: !tables_rev;

@@ -27,6 +27,9 @@ let show_error = function
 
 exception Fail of error
 
+let id_restore_frame = Hw.Clock.intern "snapshot_restore_frame"
+let id_cow_map = Hw.Clock.intern "snapshot_cow_map"
+
 let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
 
 (* [share]: (template segment bases, template aux frames) — present in
@@ -86,7 +89,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
               | Image.Ksm_data -> (Hw.Phys_mem.Ksm container_id, Hw.Phys_mem.Ksm_data)
               | Image.Kernel_code -> (Hw.Phys_mem.Container container_id, Hw.Phys_mem.Kernel_code)
             in
-            Hw.Clock.charge clock "snapshot_restore_frame" Hw.Cost.restore_frame;
+            Hw.Clock.charge_id clock id_restore_frame Hw.Cost.restore_frame;
             Hw.Phys_mem.alloc mem ~owner ~kind:k)
       image.Image.aux
   in
@@ -118,7 +121,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
                   (* Share the template's frame read-only; the first
                      write breaks CoW through the KSM path. *)
                   take_ref orig;
-                  Hw.Clock.charge clock "snapshot_cow_map" Hw.Cost.cow_map_pte;
+                  Hw.Clock.charge_id clock id_cow_map Hw.Cost.cow_map_pte;
                   (e.Image.e_index, Hw.Pte.with_writable (Image.with_pfn e.Image.e_bits orig) false)
               | None -> (e.Image.e_index, Image.with_pfn e.Image.e_bits (reloc e.Image.e_target)))
             t.Image.t_entries
@@ -178,7 +181,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
     (fun (off, order) ->
       Kernel_model.Buddy.reserve buddy (pfn_of_linear off) order;
       if share = None then
-        Hw.Clock.charge clock "snapshot_restore_frame"
+        Hw.Clock.charge_id clock id_restore_frame
           (float_of_int (1 lsl order) *. Hw.Cost.restore_frame))
     image.Image.buddy_blocks;
   let aspaces = Hashtbl.create 16 in

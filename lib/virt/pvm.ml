@@ -179,7 +179,7 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
         (fun () ->
           (* user -> host -> guest kernel (user mode) -> host -> user:
              native pair + 2 extra mode switches + 2 CR3 switches. *)
-          Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit;
+          Hw.Clock.charge_id clock Kernel_model.Platform.id_syscall Hw.Cost.syscall_entry_exit;
           Hw.Clock.charge clock "pvm_mode_switch" (2.0 *. Hw.Cost.extra_mode_switch);
           Hw.Clock.charge clock "cr3_switch" (2.0 *. Hw.Cost.cr3_switch);
           Hw.Clock.count clock "pvm_syscall_redirect");
@@ -205,10 +205,8 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host reaches them through the
          gPA->hPA association (backing lazily, like any guest frame). *)
-      guest_read_word =
-        (fun gfn index -> Hw.Phys_mem.read_entry mem ~pfn:(hfn_of_gfn gfn) ~index);
-      guest_write_word =
-        (fun gfn index v -> Hw.Phys_mem.write_entry mem ~pfn:(hfn_of_gfn gfn) ~index v);
+      mem;
+      guest_frame = hfn_of_gfn;
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

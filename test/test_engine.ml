@@ -180,6 +180,215 @@ let test_table_entries_snapshot () =
     (Hw.Phys_mem.read_entry m ~pfn:f ~index:3 = 99L)
 
 (* ------------------------------------------------------------------ *)
+(* Bulk payload copies                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The word-at-a-time payload copies [Phys_mem.write_bytes]/[read_bytes]
+   replace: one little-endian word per 8 bytes, the last word
+   zero-padded, through [write_entry]/[read_entry]. *)
+let ref_write m pfn data ~off ~len =
+  for w = 0 to ((len + 7) / 8) - 1 do
+    let v = ref 0L in
+    for b = 0 to 7 do
+      let i = (w * 8) + b in
+      if i < len then
+        v :=
+          Int64.logor !v
+            (Int64.shift_left (Int64.of_int (Char.code (Bytes.get data (off + i)))) (8 * b))
+    done;
+    Hw.Phys_mem.write_entry m ~pfn ~index:w !v
+  done
+
+let ref_read m pfn data ~off ~len =
+  for w = 0 to ((len + 7) / 8) - 1 do
+    let v = Hw.Phys_mem.read_entry m ~pfn ~index:w in
+    for b = 0 to 7 do
+      let i = (w * 8) + b in
+      if i < len then
+        Bytes.set data (off + i)
+          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * b)) 0xFFL)))
+    done
+  done
+
+let copy_lengths = [ 0; 1; 7; 8; 9; 511; 4095; 4096 ]
+let pattern n = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xFF))
+
+(* Both memories start with every word of the frame set to all-ones,
+   so the zero padding of the last word is visible. *)
+let dirty_frame () =
+  let m = Hw.Phys_mem.create ~frames:8 in
+  let pfn = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+  for i = 0 to 511 do
+    Hw.Phys_mem.write_entry m ~pfn ~index:i (-1L)
+  done;
+  (m, pfn)
+
+let test_bulk_write_matches_words () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun off ->
+          let data = pattern (off + len + 5) in
+          let m1, p1 = dirty_frame () and m2, p2 = dirty_frame () in
+          Hw.Phys_mem.write_bytes m1 ~pfn:p1 data ~off ~len;
+          ref_write m2 p2 data ~off ~len;
+          check bool
+            (Printf.sprintf "len %d off %d: frame words identical" len off)
+            true
+            (Hw.Phys_mem.table_entries m1 p1 = Hw.Phys_mem.table_entries m2 p2))
+        [ 0; 3 ])
+    copy_lengths
+
+let test_bulk_read_matches_words () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun off ->
+          let m = Hw.Phys_mem.create ~frames:8 in
+          let pfn = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+          ref_write m pfn (pattern 4096) ~off:0 ~len:4096;
+          let got = Bytes.make (off + len + 5) '?' and want = Bytes.make (off + len + 5) '?' in
+          Hw.Phys_mem.read_bytes m ~pfn got ~off ~len;
+          ref_read m pfn want ~off ~len;
+          check string (Printf.sprintf "len %d off %d: bytes identical" len off)
+            (Bytes.to_string want) (Bytes.to_string got))
+        [ 0; 3 ])
+    copy_lengths
+
+let test_bulk_unbacked_reads_zero () =
+  let m = Hw.Phys_mem.create ~frames:8 in
+  let pfn = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+  let buf = Bytes.make 4100 'x' in
+  Hw.Phys_mem.read_bytes m ~pfn buf ~off:2 ~len:4096;
+  check string "never-written frame reads zero" (String.make 4096 '\000')
+    (Bytes.sub_string buf 2 4096);
+  check string "bytes outside the range untouched" "xxxx"
+    (Bytes.sub_string buf 0 2 ^ Bytes.sub_string buf 4098 2);
+  check_raises "range past the buffer" (Invalid_argument "Phys_mem: byte range") (fun () ->
+      Hw.Phys_mem.read_bytes m ~pfn buf ~off:5 ~len:4096)
+
+(* The dirty range is what frame recycling scrubs: after a bulk write,
+   freeing the frame and reusing its arena slot must read all zeros. *)
+let test_bulk_dirty_range () =
+  List.iter
+    (fun len ->
+      let m = Hw.Phys_mem.create ~frames:8 in
+      let pfn = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+      Hw.Phys_mem.write_bytes m ~pfn (Bytes.make len '\255') ~off:0 ~len;
+      Hw.Phys_mem.free m pfn;
+      let again = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+      check bool
+        (Printf.sprintf "len %d: recycled slot scrubbed" len)
+        true
+        (Array.for_all (fun w -> w = 0L) (Hw.Phys_mem.table_entries m again)))
+    copy_lengths
+
+(* ------------------------------------------------------------------ *)
+(* Clock: one interned tier                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A name no other test uses, interned only when the test runs (after
+   every module-level id and after the clocks below exist). *)
+let fresh_name =
+  let n = Atomic.make 0 in
+  fun tag -> Printf.sprintf "test_clock_%s_%d" tag (Atomic.fetch_and_add n 1)
+
+let test_clock_one_tier () =
+  let early = Hw.Clock.create () in
+  let late = fresh_name "late" and never = fresh_name "never" in
+  (* pre-interned: the id path and the string path feed one counter *)
+  Hw.Clock.charge_id early Hw.Clock.id_tlb_hit 1.5;
+  Hw.Clock.charge early "tlb_hit" 2.5;
+  check int "pre-interned occurrences" 2 (Hw.Clock.occurrences early "tlb_hit");
+  check (float 0.0) "pre-interned spent" 4.0 (Hw.Clock.spent_on early "tlb_hit");
+  (* late-interned: the clock predates the name and grows to hold it *)
+  Hw.Clock.charge early late 10.0;
+  Hw.Clock.charge_id early (Hw.Clock.intern late) 5.0;
+  Hw.Clock.count early late;
+  check int "late occurrences" 3 (Hw.Clock.occurrences early late);
+  check (float 0.0) "late spent" 15.0 (Hw.Clock.spent_on early late);
+  (* never charged: zero everywhere, and querying does not register it *)
+  check int "never occurrences" 0 (Hw.Clock.occurrences early never);
+  check (float 0.0) "never spent" 0.0 (Hw.Clock.spent_on early never);
+  let expected = List.sort compare [ ("tlb_hit", 2); (late, 3) ] in
+  check (list (pair string int)) "events" expected (Hw.Clock.events early);
+  check (float 0.0) "now" 19.0 (Hw.Clock.now early);
+  (* add_into: an older, smaller [into] absorbs every counter *)
+  let into = Hw.Clock.create () in
+  Hw.Clock.charge into "tlb_hit" 1.0;
+  Hw.Clock.add_into ~into early;
+  check int "merged pre-interned" 3 (Hw.Clock.occurrences into "tlb_hit");
+  check (float 0.0) "merged pre-interned spent" 5.0 (Hw.Clock.spent_on into "tlb_hit");
+  check int "merged late" 3 (Hw.Clock.occurrences into late);
+  check (float 0.0) "merged late spent" 15.0 (Hw.Clock.spent_on into late);
+  check int "merged never" 0 (Hw.Clock.occurrences into never);
+  check (float 0.0) "merged now" 20.0 (Hw.Clock.now into);
+  check (list (pair string int)) "merged events (sorted by name)" [ (late, 3); ("tlb_hit", 3) ]
+    (Hw.Clock.events into);
+  Hw.Clock.reset into;
+  check (list (pair string int)) "reset clears every event" [] (Hw.Clock.events into)
+
+(* Two domains interning the same fresh names at once (in opposite
+   orders) must agree on one id per name, distinct across names. *)
+let test_clock_concurrent_intern () =
+  let names = Array.init 500 (fun _ -> fresh_name "race") in
+  let n = Array.length names in
+  let ids = Array.init 2 (fun _ -> Array.make n (-1)) in
+  Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun lane ->
+      for k = 0 to n - 1 do
+        let i = if lane = 0 then k else n - 1 - k in
+        ids.(lane).(i) <- Hw.Clock.intern names.(i)
+      done);
+  check bool "both domains got the same id for every name" true (ids.(0) = ids.(1));
+  check int "one id per name" n (List.length (List.sort_uniq compare (Array.to_list ids.(0))));
+  Array.iteri
+    (fun i name -> check int "stable on re-intern" ids.(0).(i) (Hw.Clock.intern name))
+    names
+
+(* ------------------------------------------------------------------ *)
+(* Percentiles                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-sort nearest-rank percentile the array version replaced. *)
+let ref_percentile xs ~p =
+  match xs with
+  | [] -> nan
+  | _ ->
+      let sorted = List.sort compare xs in
+      let n = List.length sorted in
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+
+let test_percentiles_match_reference () =
+  let ps = [ 0.0; 1.0; 50.0; 95.0; 99.0; 99.9; 100.0 ] in
+  let samples =
+    [
+      [];
+      [ 7.0 ];
+      [ 3.0; 3.0; 1.0; 2.0 ];
+      List.init 1001 (fun i -> float_of_int ((i * 7919) mod 997) /. 10.0);
+    ]
+  in
+  List.iter
+    (fun xs ->
+      let want = List.map (fun p -> ref_percentile xs ~p) ps in
+      let got = Report.Stats.percentiles xs ~ps in
+      check int "one value per p" (List.length ps) (List.length got);
+      List.iter2
+        (fun w g ->
+          check bool "nearest rank unchanged" true
+            (Int64.bits_of_float w = Int64.bits_of_float g
+            || (Float.is_nan w && Float.is_nan g)))
+        want got;
+      List.iter2
+        (fun p w ->
+          let g = Report.Stats.percentile xs ~p in
+          check bool "single percentile unchanged" true
+            (Int64.bits_of_float w = Int64.bits_of_float g || (Float.is_nan w && Float.is_nan g)))
+        ps want)
+    samples
+
+(* ------------------------------------------------------------------ *)
 (* Translation fast path                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -397,6 +606,20 @@ let suite =
         test_case "arena slots are recycled zeroed" `Quick test_arena_slot_recycling;
         test_case "table_entries is a snapshot" `Quick test_table_entries_snapshot;
       ] );
+    ( "engine-bulk-copy",
+      [
+        test_case "write_bytes matches word-by-word" `Quick test_bulk_write_matches_words;
+        test_case "read_bytes matches word-by-word" `Quick test_bulk_read_matches_words;
+        test_case "unbacked frames read zero" `Quick test_bulk_unbacked_reads_zero;
+        test_case "dirty range covers the copy" `Quick test_bulk_dirty_range;
+      ] );
+    ( "engine-clock",
+      [
+        test_case "one tier: pre-interned, late, never" `Quick test_clock_one_tier;
+        test_case "concurrent interning agrees" `Quick test_clock_concurrent_intern;
+      ] );
+    ( "engine-stats",
+      [ test_case "percentiles match list nearest-rank" `Quick test_percentiles_match_reference ] );
     ( "engine-tcache",
       [ test_case "fast path observationally invisible" `Quick test_tcache_invisible ] );
     ( "engine-json",

@@ -264,15 +264,7 @@ let test_pipe_roundtrip () =
 (* ----------------------------- Virtio ----------------------------- *)
 
 let mk_virtio ?(size = 4) ?(window = 1) () =
-  let p = bare_platform () in
-  let access =
-    {
-      Kernel_model.Virtio.read_word = p.Kernel_model.Platform.guest_read_word;
-      write_word = p.Kernel_model.Platform.guest_write_word;
-      alloc_frame = p.Kernel_model.Platform.alloc_frame;
-    }
-  in
-  Kernel_model.Virtio.create ~size ~window ~name:"test" access p.Kernel_model.Platform.clock
+  Kernel_model.Virtio.create ~size ~window ~name:"test" (bare_platform ())
 
 let test_virtio_queue () =
   let q = mk_virtio () in
