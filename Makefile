@@ -1,4 +1,5 @@
-.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench perfbench-smoke clean
+.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench \
+	artifacts-identical perfbench-smoke clean
 
 all: build
 
@@ -54,6 +55,24 @@ bench-json: build
 validate-bench: build
 	dune exec bench/main.exe -- validate
 
+# Byte-identity oracle: regenerate the deterministic simulated
+# artifacts in a fresh temporary directory and cmp each against the
+# checked-in BENCH_*.json; any difference (or a missing file) fails.
+ARTIFACTS = snapshot ioplane fleet migration micro
+artifacts-identical: build
+	@dir=$$(mktemp -d); \
+	( cd $$dir && $(CURDIR)/_build/default/bench/main.exe --json $(ARTIFACTS) >/dev/null ) \
+		|| { rm -rf $$dir; echo "artifacts-identical: bench run failed"; exit 1; }; \
+	status=0; \
+	for a in $(ARTIFACTS); do \
+		if cmp -s $$dir/BENCH_$$a.json BENCH_$$a.json; then \
+			echo "artifacts-identical: BENCH_$$a.json identical"; \
+		else \
+			echo "artifacts-identical: BENCH_$$a.json differs"; status=1; \
+		fi; \
+	done; \
+	rm -rf $$dir; exit $$status
+
 # One-second run of every perfbench workload: each must exit 0 and
 # report "correct": true on its final JSON line.
 perfbench-smoke: build
@@ -76,11 +95,13 @@ fmt:
 
 # The pre-PR gate: formatting (when available), the full test suite,
 # the example/demo scenarios under the invariant scanner, the artifact
-# parse check, and a smoke run of the perfbench workloads.
+# parse check, byte-identity of the simulated artifacts, and a smoke
+# run of the perfbench workloads.
 ci: build fmt
 	dune runtest
 	$(MAKE) check
 	$(MAKE) validate-bench
+	$(MAKE) artifacts-identical
 	$(MAKE) perfbench-smoke
 
 examples: build

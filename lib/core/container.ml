@@ -223,6 +223,15 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
   Hw.Clock.charge clock "guest_kernel_boot" Hw.Cost.guest_kernel_boot;
   assemble ~env ~cfg host ~container_id ~pcid ~ksm ~buddy ~aspaces ~next_as ()
 
+(* Shared read-only frames this container (or its KSM) owns that still
+   carry a reference are exactly the frames live CoW clones point at. *)
+let has_live_clone_refs t =
+  let mem = Hw.Machine.mem (Host.machine t.host) in
+  let live = ref false in
+  Hw.Phys_mem.iter_owned mem ~id:t.container_id (fun pfn ->
+      if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then live := true);
+  !live
+
 (* Tear a container down completely, returning every frame to the host.
 
    The inverse of [create]/restore/clone, and the operation the fleet's
@@ -238,23 +247,15 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
       (KSM-private state, page tables, a private kernel image).
 
    A frozen template cannot be destroyed while clones still reference
-   its frames — the shared-frame scan refuses first, so a mistake
+   its frames — [has_live_clone_refs] refuses first, so a mistake
    cannot strand clones over freed memory. *)
 let destroy t =
   let machine = Host.machine t.host in
   let mem = Hw.Machine.mem machine in
   let id = t.container_id in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = id ->
-        if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Container.destroy: container %d is a frozen template with live clones (frame %d \
-                still referenced)"
-               id pfn)
-    | _ -> ()
-  done;
+  if has_live_clone_refs t then
+    invalid_arg
+      (Printf.sprintf "Container.destroy: container %d is a frozen template with live clones" id);
   (* 1. Release CoW references on foreign shared frames. *)
   let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
   let rec walk lvl pfn =

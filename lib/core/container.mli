@@ -44,14 +44,19 @@ val create : ?env:Virt.Env.t -> ?cfg:Config.t -> Host.t -> t
     ({!Hw.Cost.guest_kernel_boot}) — the cost that snapshot restore and
     warm clones amortize away. *)
 
+val has_live_clone_refs : t -> bool
+(** Does any shared read-only frame this container or its KSM owns
+    still carry a clone reference?  True exactly while live CoW clones
+    of this (frozen template) container exist. *)
+
 val destroy : t -> unit
 (** Tear the container down completely: drop the CoW references it
     holds on other containers' frozen template frames (found by walking
     its live page tables), reclaim its delegated segments, and free
     every frame it or its KSM owns.  The operation behind fleet
     scale-in and create/destroy churn.
-    @raise Invalid_argument on a frozen template whose frames clones
-    still reference. *)
+    @raise Invalid_argument if {!has_live_clone_refs}, before touching
+    anything. *)
 
 val assemble :
   ?env:Virt.Env.t ->

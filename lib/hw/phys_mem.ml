@@ -507,4 +507,14 @@ let count_owned t owner_pred =
   done;
   !c
 
+(* One pass over the packed owner words: bit 1 marks [Container]/[Ksm]
+   and the id sits above it, so nothing is decoded or allocated.  Pfn
+   order; freeing the visited frame only rewrites the word already read. *)
+let iter_owned t ~id f =
+  let owner_of = t.owner_of in
+  for pfn = 0 to t.total_frames - 1 do
+    let c = owner_of.(pfn) in
+    if c land 2 <> 0 && c lsr 2 = id then f pfn
+  done
+
 let free_frames t = t.free_count

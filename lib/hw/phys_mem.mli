@@ -104,5 +104,11 @@ val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
     the first [len] bytes of the frame's little-endian word image into
     [dst] from [off].  A frame never written reads as zeros. *)
 
+val iter_owned : t -> id:int -> (Addr.pfn -> unit) -> unit
+(** [iter_owned t ~id f] calls [f] on every frame owned by [Container id]
+    or [Ksm id], in increasing pfn order.  One pass over the packed
+    owner words: nothing is decoded or allocated.  [f] may free the
+    frame it is given. *)
+
 val count_owned : t -> (owner -> bool) -> int
 val free_frames : t -> int

@@ -134,7 +134,7 @@ let allocated_blocks t =
   Array.fold_left
     (fun acc z -> Hashtbl.fold (fun pfn order l -> (pfn, order) :: l) z.order_of acc)
     [] t.zones
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* Snapshot restore: carve the specific block [pfn, pfn + 2^order) out
    of a fresh allocator, reproducing the captured allocation pattern. *)

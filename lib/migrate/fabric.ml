@@ -199,9 +199,5 @@ let unfreeze t ~name =
 let owned_frames t ~hid ~container =
   let mem = Hw.Machine.mem (node t hid).machine in
   let n = ref 0 in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = container -> incr n
-    | _ -> ()
-  done;
+  Hw.Phys_mem.iter_owned mem ~id:container (fun _ -> incr n);
   !n

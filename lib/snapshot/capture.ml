@@ -4,8 +4,8 @@
    first, then aspace roots in id order, each followed by its per-vCPU
    copies) and records every reachable page table in discovery order —
    a canonical order, so re-capturing a restored container yields a
-   byte-identical image.  A completeness sweep over the whole frame
-   array then proves the image is closed: every frame the container
+   byte-identical image.  A completeness sweep over the container's
+   frames then proves the image is closed: every frame the container
    owns outside its segments must have been reached. *)
 
 type error =
@@ -33,6 +33,10 @@ type map = { m_seg_bases : Hw.Addr.pfn array; m_aux : Hw.Addr.pfn array }
 exception Fail of error
 
 let id_capture_table = Hw.Clock.intern "snapshot_capture_table"
+
+(* Pairs with a unique int key sort as [compare] would, minus its
+   polymorphic walk. *)
+let by_key (a, _) (b, _) = Int.compare a b
 
 (* Span of one entry at a level: 4 KiB at L1, 2 MiB at L2, ... *)
 let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
@@ -167,15 +171,11 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     if Hw.Pte.is_present direct_link then collect_direct 3 (Hw.Pte.pfn direct_link);
     (* Completeness: every frame this container owns outside its
        segments must be in the auxiliary table by now. *)
-    for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-      match Hw.Phys_mem.owner mem pfn with
-      | Hw.Phys_mem.Ksm k when k = id ->
-          if not (Hashtbl.mem aux_ids pfn || Hashtbl.mem direct_tables pfn) then
-            raise (Fail (Unreachable_frame pfn))
-      | Hw.Phys_mem.Container k when k = id && not (Cki.Ksm.owns_frame ksm pfn) ->
-          if not (Hashtbl.mem aux_ids pfn) then raise (Fail (Unreachable_frame pfn))
-      | _ -> ()
-    done;
+    Hw.Phys_mem.iter_owned mem ~id (fun pfn ->
+        match Hw.Phys_mem.owner mem pfn with
+        | Hw.Phys_mem.Ksm _ when Hashtbl.mem direct_tables pfn -> ()
+        | Hw.Phys_mem.Container _ when Cki.Ksm.owns_frame ksm pfn -> ()
+        | _ -> if not (Hashtbl.mem aux_ids pfn) then raise (Fail (Unreachable_frame pfn)));
     (* Monitor metadata.  The direct-map template slot is omitted along
        with its subtree. *)
     let ptps =
@@ -287,7 +287,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
             tk_brk = Kernel_model.Mm.brk_now mm;
             tk_cursor = Kernel_model.Mm.mmap_cursor_now mm;
             tk_vmas = List.sort (fun a b -> compare a.Image.v_start b.Image.v_start) !vmas;
-            tk_pages = List.sort compare !pages;
+            tk_pages = List.sort by_key !pages;
             tk_fds = fds;
           })
         (Kernel_model.Kernel.tasks kernel)
@@ -308,7 +308,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         cpus;
         next_pid = Kernel_model.Kernel.next_pid kernel;
         next_as = !(c.next_as);
-        buddy_blocks = List.sort compare buddy_blocks;
+        buddy_blocks = List.sort by_key buddy_blocks;
         aspaces = List.map (fun (aid, root) -> (aid, ref_of root)) aspace_list;
         tasks;
         dirs = List.rev !dirs_rev;

@@ -103,31 +103,71 @@ let with_pfn bits pfn = Int64.logor (strip_pfn bits) (Int64.shift_left (Int64.of
 (* FNV-1a 64-bit checksum                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* An index loop rather than [String.iter]'s closure, so the
+   accumulator stays an unboxed local. *)
 let fnv1a64 s =
   let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 1099511628211L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 1099511628211L
+  done;
   !h
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+(* Allocation-free writers for the bulk lines ([t], [e], [g], [b],
+   [F]); each prints exactly what its [Printf] conversion would. *)
+
+(* [%d], from the non-positive value so [min_int] needs no special case. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_neg_digits b (if n < 0 then n else -n)
+
+let hex_digits = "0123456789abcdef"
+
+(* [%Lx]: two's complement, lowercase, no leading zeros. *)
+let add_hex64 b v =
+  let top = ref 60 in
+  while !top > 0 && Int64.to_int (Int64.shift_right_logical v !top) = 0 do top := !top - 4 done;
+  for i = !top / 4 downto 0 do
+    Buffer.add_char b hex_digits.[Int64.to_int (Int64.shift_right_logical v (4 * i)) land 15]
+  done
+
+(* [%02x] per byte. *)
+let add_hex_string b s =
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Buffer.add_char b hex_digits.[c lsr 4];
+    Buffer.add_char b hex_digits.[c land 15]
+  done
+
+let add_fref b = function
+  | Seg { seg; off } ->
+      Buffer.add_char b 'S';
+      add_int b seg;
+      Buffer.add_char b '.';
+      add_int b off
+  | Aux i ->
+      Buffer.add_char b 'A';
+      add_int b i
+
+let to_string add x =
+  let b = Buffer.create 16 in
+  add b x;
   Buffer.contents b
+
+let hex_of_string = to_string add_hex_string
+let fref_str = to_string add_fref
 
 let string_of_hex h =
   if String.length h mod 2 <> 0 then invalid_arg "string_of_hex";
   String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
-let fref_str = function
-  | Seg { seg; off } -> Printf.sprintf "S%d.%d" seg off
-  | Aux i -> Printf.sprintf "A%d" i
 
 let aux_kind_str = function
   | Pt l -> "pt" ^ string_of_int l
@@ -146,6 +186,12 @@ let bool01 b = if b then "1" else "0"
 let payload (t : t) =
   let b = Buffer.create (64 * 1024) in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  (* Bulk lines: a one-letter tag, then fields each led by a space. *)
+  let chr = Buffer.add_char b in
+  let int n = chr ' '; add_int b n in
+  let fref r = chr ' '; add_fref b r in
+  let hex s = chr ' '; add_hex_string b s in
+  let hex64 v = chr ' '; add_hex64 b v in
   let c = t.cfg in
   line "cfg %s %s %s %s %s %s %d %d" (bool01 c.Cki.Config.opt2) (bool01 c.Cki.Config.opt3)
     (bool01 c.Cki.Config.hugepages) (bool01 c.Cki.Config.pti_in_gates)
@@ -169,9 +215,10 @@ let payload (t : t) =
   line "tables %d" (List.length t.tables);
   List.iter
     (fun tb ->
-      line "t %s %d %d %d" (fref_str tb.t_frame) tb.t_level tb.t_va (List.length tb.t_entries);
+      chr 't'; fref tb.t_frame; int tb.t_level; int tb.t_va; int (List.length tb.t_entries);
+      chr '\n';
       List.iter
-        (fun e -> line "e %d %Lx %s" e.e_index e.e_bits (fref_str e.e_target))
+        (fun e -> chr 'e'; int e.e_index; hex64 e.e_bits; fref e.e_target; chr '\n')
         tb.t_entries)
     t.tables;
   line "pervcpu %d" (Array.length t.pervcpu);
@@ -188,7 +235,7 @@ let payload (t : t) =
     t.cpus;
   line "kernel %d %d" t.next_pid t.next_as;
   line "buddy %d" (List.length t.buddy_blocks);
-  List.iter (fun (off, order) -> line "b %d %d" off order) t.buddy_blocks;
+  List.iter (fun (off, order) -> chr 'b'; int off; int order; chr '\n') t.buddy_blocks;
   line "aspaces %d" (List.length t.aspaces);
   List.iter (fun (id, r) -> line "a %d %s" id (fref_str r)) t.aspaces;
   line "tasks %d" (List.length t.tasks);
@@ -203,13 +250,13 @@ let payload (t : t) =
           line "m %d %d %s%s%s %s" v.v_start v.v_stop (bool01 r) (bool01 w) (bool01 x)
             (backing_str v.v_backing))
         tk.tk_vmas;
-      List.iter (fun (vpn, r) -> line "g %d %s" vpn (fref_str r)) tk.tk_pages;
+      List.iter (fun (vpn, r) -> chr 'g'; int vpn; fref r; chr '\n') tk.tk_pages;
       List.iter (fun f -> line "f %d %d %s" f.f_fd f.f_pos (hex_of_string f.f_path)) tk.tk_fds)
     t.tasks;
   line "dirs %d" (List.length t.dirs);
   List.iter (fun d -> line "d %s" (hex_of_string d)) t.dirs;
   line "files %d" (List.length t.files);
-  List.iter (fun (p, data) -> line "F %s %s" (hex_of_string p) (hex_of_string data)) t.files;
+  List.iter (fun (p, data) -> chr 'F'; hex p; hex data; chr '\n') t.files;
   Buffer.contents b
 
 let encode t =

@@ -95,28 +95,16 @@ let container t = t.container
 let image t = t.image
 let map t = t.map
 
-(* Does any of this template's shared frames still carry a clone
-   reference?  The scan mirrors [Container.destroy]'s own pre-check:
-   shared_ro frames owned by the template container with refcount > 0
-   are exactly the frames live CoW children still point at. *)
-let in_use t =
-  let c = t.container in
-  let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
-  let id = c.Cki.Container.container_id in
-  let used = ref false in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = id ->
-        if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then used := true
-    | _ -> ()
-  done;
-  !used
+(* Does any of this template's shared frames still carry a clone reference? *)
+let in_use t = Cki.Container.has_live_clone_refs t.container
 
 (* Tear a template down.  The refcount assertion is the point: freeing
    a frame a CoW child still references would hand the child's memory
    to the next allocation.  Callers that may race live clones (pool
-   drain, migration cutover) must check {!in_use} and retire instead. *)
+   drain, migration cutover) must check {!in_use} and retire instead.
+   [Container.destroy] makes the check before it touches anything, so
+   a refusal is re-labelled rather than checked twice. *)
 let destroy t =
-  if in_use t then
-    invalid_arg "Template.destroy: shared frames still referenced by live clones";
-  Cki.Container.destroy t.container
+  try Cki.Container.destroy t.container
+  with Invalid_argument _ when in_use t ->
+    invalid_arg "Template.destroy: shared frames still referenced by live clones"

@@ -140,6 +140,87 @@ let test_phys_refcount () =
   check_raises "underflow" (Invalid_argument "Phys_mem.decr_ref: refcount underflow") (fun () ->
       Hw.Phys_mem.decr_ref m f)
 
+(* [iter_owned] against a reference filter over [owner], after seeded
+   alloc/free/set_owner churn across ids 0..3 ([Container k] and
+   [Ksm k] share id k) with [Host] frames mixed in. *)
+let owned_reference m id =
+  List.filter
+    (fun pfn ->
+      match Hw.Phys_mem.owner m pfn with
+      | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k = id
+      | Hw.Phys_mem.Host | Hw.Phys_mem.Free -> false)
+    (List.init (Hw.Phys_mem.total_frames m) Fun.id)
+
+let visited m id =
+  let acc = ref [] in
+  Hw.Phys_mem.iter_owned m ~id (fun pfn -> acc := pfn :: !acc);
+  List.rev !acc
+
+let churned_mem seed =
+  let rng = Random.State.make [| seed |] in
+  (* Not a multiple of the 32-frame bitmap word. *)
+  let m = Hw.Phys_mem.create ~frames:301 in
+  let random_owner () =
+    let k = Random.State.int rng 4 in
+    match Random.State.int rng 3 with
+    | 0 -> Hw.Phys_mem.Host
+    | 1 -> Hw.Phys_mem.Container k
+    | _ -> Hw.Phys_mem.Ksm k
+  in
+  let live = ref [] in
+  for _ = 1 to 600 do
+    match (Random.State.int rng 4, !live) with
+    | 0, pfn :: rest ->
+        Hw.Phys_mem.free m pfn;
+        live := rest
+    | 1, pfn :: _ -> Hw.Phys_mem.set_owner m pfn (random_owner ())
+    | _ -> (
+        match Hw.Phys_mem.alloc m ~owner:(random_owner ()) ~kind:Hw.Phys_mem.Data with
+        | pfn -> live := pfn :: !live
+        | exception Hw.Phys_mem.Out_of_memory -> ())
+  done;
+  m
+
+let test_iter_owned_matches_filter () =
+  List.iter
+    (fun seed ->
+      let m = churned_mem seed in
+      for id = 0 to 4 do
+        let seen = visited m id in
+        check (list int) (Printf.sprintf "seed %d id %d: reference frames, pfn order" seed id)
+          (owned_reference m id) seen;
+        List.iter
+          (fun pfn ->
+            check_bool "never a Host or Free frame" false
+              (match Hw.Phys_mem.owner m pfn with
+              | Hw.Phys_mem.Host | Hw.Phys_mem.Free -> true
+              | _ -> false))
+          seen
+      done;
+      let holds o = Hw.Phys_mem.count_owned m (Hw.Phys_mem.equal_owner o) > 0 in
+      check_bool "id 0 owns frames" true (visited m 0 <> []);
+      check_bool "some id is held by both a container and its KSM" true
+        (List.exists
+           (fun k -> holds (Hw.Phys_mem.Container k) && holds (Hw.Phys_mem.Ksm k))
+           [ 0; 1; 2; 3 ]))
+    [ 1; 2; 3 ]
+
+let test_iter_owned_free_in_callback () =
+  let m = churned_mem 7 in
+  for id = 0 to 3 do
+    let before = Hw.Phys_mem.free_frames m in
+    let n = List.length (owned_reference m id) in
+    let others = List.map (owned_reference m) (List.filter (( <> ) id) [ 0; 1; 2; 3 ]) in
+    Hw.Phys_mem.iter_owned m ~id (Hw.Phys_mem.free m);
+    check_int (Printf.sprintf "id %d: free count" id) (before + n) (Hw.Phys_mem.free_frames m);
+    check (list int) "nothing left for the id" [] (visited m id);
+    check (list (list int)) "other ids untouched" others
+      (List.map (owned_reference m) (List.filter (( <> ) id) [ 0; 1; 2; 3 ]))
+  done;
+  check_int "only Host frames remain allocated"
+    (Hw.Phys_mem.count_owned m (fun o -> o = Hw.Phys_mem.Host))
+    (Hw.Phys_mem.total_frames m - Hw.Phys_mem.free_frames m)
+
 (* --------------------------- Page_table --------------------------- *)
 
 let mk_pt () =
@@ -244,6 +325,8 @@ let suite =
         test_case "out of memory" `Quick test_phys_oom;
         test_case "table entries" `Quick test_phys_table_entries;
         test_case "refcount" `Quick test_phys_refcount;
+        test_case "iter_owned matches an owner filter" `Quick test_iter_owned_matches_filter;
+        test_case "iter_owned callback may free" `Quick test_iter_owned_free_in_callback;
       ] );
     ( "hw/page_table",
       [

@@ -451,6 +451,186 @@ let test_decode_count_mismatch () =
   expect_malformed "root copy count" (tamper "r " bump_count);
   expect_malformed "pervcpu frame count" (tamper "v " bump_count)
 
+(* ------------------------------------------------------------------ *)
+(* The v2 encoder against a Printf reference                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_fnv1a64_vectors () =
+  List.iter
+    (fun (input, want) ->
+      check string (Printf.sprintf "fnv1a64 %S" input) want
+        (Printf.sprintf "%016Lx" (Snapshot.Image.fnv1a64 input)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+(* The CKI-SNAPSHOT v2 wire format written line by line with Printf,
+   exactly as the format was first specified. *)
+let reference_encode (t : Snapshot.Image.t) =
+  let open Snapshot.Image in
+  let hex s =
+    String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let fref = function
+    | Seg { seg; off } -> Printf.sprintf "S%d.%d" seg off
+    | Aux i -> Printf.sprintf "A%d" i
+  in
+  let aux_kind = function
+    | Pt l -> "pt" ^ string_of_int l
+    | Ksm_code -> "ksm_code"
+    | Ksm_data -> "ksm_data"
+    | Kernel_code -> "kernel_code"
+  in
+  let backing = function
+    | Kernel_model.Vma.Anon -> "anon"
+    | Kernel_model.Vma.File { inode; offset } -> Printf.sprintf "file:%d:%d" inode offset
+    | Kernel_model.Vma.Stack -> "stack"
+    | Kernel_model.Vma.Heap -> "heap"
+  in
+  let b01 b = if b then "1" else "0" in
+  let frefs a = String.concat "" (Array.to_list (Array.map (fun f -> " " ^ fref f) a)) in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  let c = t.cfg in
+  line "cfg %s %s %s %s %s %s %d %d" (b01 c.Cki.Config.opt2) (b01 c.Cki.Config.opt3)
+    (b01 c.Cki.Config.hugepages) (b01 c.Cki.Config.pti_in_gates)
+    (b01 c.Cki.Config.emulate_pvm_syscall) (b01 c.Cki.Config.design_pku) c.Cki.Config.vcpus
+    c.Cki.Config.segment_frames;
+  line "segments %d%s" (Array.length t.segments)
+    (String.concat "" (Array.to_list (Array.map (fun n -> " " ^ string_of_int n) t.segments)));
+  line "aux %d" (Array.length t.aux);
+  Array.iteri (fun i k -> line "k %d %s" i (aux_kind k)) t.aux;
+  line "ptps %d" (List.length t.ptps);
+  List.iter (fun (r, lvl) -> line "p %s %d" (fref r) lvl) t.ptps;
+  line "kernel_root %s" (fref t.kernel_root);
+  line "template %d" (List.length t.template);
+  List.iter (fun (slot, bits, r) -> line "s %d %Lx %s" slot bits (fref r)) t.template;
+  line "roots %d" (List.length t.roots);
+  List.iter
+    (fun r -> line "r %s %d%s" (fref r.r_frame) (Array.length r.r_copies) (frefs r.r_copies))
+    t.roots;
+  line "tables %d" (List.length t.tables);
+  List.iter
+    (fun tb ->
+      line "t %s %d %d %d" (fref tb.t_frame) tb.t_level tb.t_va (List.length tb.t_entries);
+      List.iter (fun e -> line "e %d %Lx %s" e.e_index e.e_bits (fref e.e_target)) tb.t_entries)
+    t.tables;
+  line "pervcpu %d" (Array.length t.pervcpu);
+  Array.iter
+    (fun a -> line "v %s %d%s" (fref a.a_l3) (Array.length a.a_frames) (frefs a.a_frames))
+    t.pervcpu;
+  line "cpus %d" (Array.length t.cpus);
+  Array.iter
+    (fun c ->
+      line "c %s %d %s %d %d %s" (b01 c.c_kernel) c.c_pkrs (b01 c.c_if) c.c_gs c.c_kgs
+        (fref c.c_cr3))
+    t.cpus;
+  line "kernel %d %d" t.next_pid t.next_as;
+  line "buddy %d" (List.length t.buddy_blocks);
+  List.iter (fun (off, order) -> line "b %d %d" off order) t.buddy_blocks;
+  line "aspaces %d" (List.length t.aspaces);
+  List.iter (fun (id, r) -> line "a %d %s" id (fref r)) t.aspaces;
+  line "tasks %d" (List.length t.tasks);
+  List.iter
+    (fun tk ->
+      line "task %d %d %d %d %d %d %d %d %d" tk.tk_pid tk.tk_parent tk.tk_next_fd tk.tk_aspace
+        tk.tk_brk tk.tk_cursor (List.length tk.tk_vmas) (List.length tk.tk_pages)
+        (List.length tk.tk_fds);
+      List.iter
+        (fun v ->
+          let r, w, x = v.v_prot in
+          line "m %d %d %s%s%s %s" v.v_start v.v_stop (b01 r) (b01 w) (b01 x) (backing v.v_backing))
+        tk.tk_vmas;
+      List.iter (fun (vpn, r) -> line "g %d %s" vpn (fref r)) tk.tk_pages;
+      List.iter (fun f -> line "f %d %d %s" f.f_fd f.f_pos (hex f.f_path)) tk.tk_fds)
+    t.tasks;
+  line "dirs %d" (List.length t.dirs);
+  List.iter (fun d -> line "d %s" (hex d)) t.dirs;
+  line "files %d" (List.length t.files);
+  List.iter (fun (p, data) -> line "F %s %s" (hex p) (hex data)) t.files;
+  let p = Buffer.contents b in
+  Printf.sprintf "%s v%d\nchecksum %016Lx\n%s" magic version (fnv1a64 p) p
+
+(* A booted container plus a binary tmpfs file holding every byte
+   value, 0x80..0xff included. *)
+let boot_binary ?(cfg = cfg) host =
+  let c = Cki.Container.create ~cfg host in
+  let b = Cki.Container.backend c in
+  let task = Virt.Backend.spawn b in
+  (match
+     Virt.Backend.syscall_exn b task
+       (Kernel_model.Syscall.Mmap { pages = 8; prot = Kernel_model.Vma.prot_rw })
+   with
+  | Kernel_model.Syscall.Rint base ->
+      ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages:8 ~write:true)
+  | _ -> fail "mmap");
+  (match
+     Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/blob"; create = true })
+   with
+  | Kernel_model.Syscall.Rint fd ->
+      ignore
+        (Virt.Backend.syscall_exn b task
+           (Kernel_model.Syscall.Write { fd; data = Bytes.init 256 Char.chr }))
+  | _ -> fail "open");
+  c
+
+let test_encode_matches_reference () =
+  let host = mk_host ~mem_mib:512 () in
+  let ready = capture_exn (boot_ready host) in
+  let binary = capture_exn (boot_binary host) in
+  let single =
+    capture_exn
+      (boot_binary ~cfg:{ cfg with Cki.Config.vcpus = 1; opt2 = false; opt3 = false } host)
+  in
+  let frozen = Snapshot.Template.image (template_exn (boot_ready ~pages:16 host)) in
+  (* Field values no capture produces: zero and all-ones PTE bits,
+     negative and extreme ints, every fref shape. *)
+  let edge =
+    {
+      ready with
+      Snapshot.Image.tables =
+        [
+          {
+            Snapshot.Image.t_frame = Snapshot.Image.Aux 0;
+            t_level = 1;
+            t_va = 0;
+            t_entries =
+              List.mapi
+                (fun i e_bits ->
+                  {
+                    Snapshot.Image.e_index = i;
+                    e_bits;
+                    e_target = Snapshot.Image.Seg { seg = i; off = 4095 - i };
+                  })
+                [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x8000_0000_0000_0001L; 0xfL; 0x10L ];
+          };
+        ];
+      buddy_blocks = [ (0, 0); (-1, 7); (min_int, max_int); (max_int, -10); (10, 9) ];
+    }
+  in
+  let images = [ ready; binary; single; frozen; edge ] in
+  List.iteri
+    (fun i img ->
+      check string (Printf.sprintf "image %d: encode = Printf reference" i) (reference_encode img)
+        (Snapshot.Image.encode img))
+    images;
+  (* The captured images cover what the bulk writers must get right. *)
+  let captured = [ ready; binary; single; frozen ] in
+  let entries =
+    List.concat_map
+      (fun img -> List.concat_map (fun tb -> tb.Snapshot.Image.t_entries) img.Snapshot.Image.tables)
+      captured
+  in
+  check bool "an NX leaf (16 hex digits)" true
+    (List.exists (fun e -> Int64.compare e.Snapshot.Image.e_bits 0L < 0) entries);
+  check bool "an Aux frame ref" true
+    (List.exists
+       (fun e -> match e.Snapshot.Image.e_target with Snapshot.Image.Aux _ -> true | _ -> false)
+       entries);
+  check bool "2 vCPUs" true (Array.length ready.Snapshot.Image.cpus = 2);
+  check bool "a tmpfs byte >= 0x80" true
+    (List.exists
+       (fun (_, data) -> String.exists (fun c -> Char.code c >= 0x80) data)
+       binary.Snapshot.Image.files)
+
 let suite =
   [
     ( "snapshot",
@@ -468,5 +648,7 @@ let suite =
         test_case "frozen template writes fault" `Quick test_template_write_faults;
         test_case "failed restores roll back cleanly" `Quick test_failed_restore_rollback;
         test_case "declared counts are enforced in decode" `Quick test_decode_count_mismatch;
+        test_case "fnv1a64 matches the published vectors" `Quick test_fnv1a64_vectors;
+        test_case "encode matches the Printf reference" `Quick test_encode_matches_reference;
       ] );
   ]
