@@ -35,6 +35,24 @@ let make_tests () =
            let f = Kernel_model.Buddy.alloc buddy in
            Kernel_model.Buddy.free buddy f))
   in
+  (* Free lists that grow long: one run frees 4,096 single frames in a
+     seeded shuffled order and allocates them all again. *)
+  let frag = Kernel_model.Buddy.create ~base:0 ~frames:4096 in
+  let frames = Array.init 4096 (fun _ -> Kernel_model.Buddy.alloc frag) in
+  let order = Array.init 4096 Fun.id in
+  let rng = Random.State.make [| 14 |] in
+  for i = 4095 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let buddy_fragmented =
+    Test.make ~name:"buddy.free (fragmented)"
+      (Staged.stage (fun () ->
+           Array.iter (fun i -> Kernel_model.Buddy.free frag frames.(i)) order;
+           Array.iteri (fun i _ -> frames.(i) <- Kernel_model.Buddy.alloc frag) frames))
+  in
   let c = Cki.Container.create_standalone ~mem_mib:256 () in
   let b = Cki.Container.backend c in
   let task = Virt.Backend.spawn b in
@@ -48,7 +66,7 @@ let make_tests () =
       (Staged.stage (fun () ->
            ignore (Hw.Pks.allows Hw.Pks.pkrs_guest ~key:Hw.Pks.pkey_ptp Hw.Pks.Write)))
   in
-  [ walk; tlb_lookup; buddy_cycle; getpid; pkrs_check ]
+  [ walk; tlb_lookup; buddy_cycle; buddy_fragmented; getpid; pkrs_check ]
 
 let run () =
   Printf.printf "\nSimulator-primitive microbenchmarks (host wall-clock)\n";

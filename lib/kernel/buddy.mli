@@ -35,12 +35,6 @@ val free : t -> Hw.Addr.pfn -> unit
 (** Free a previously allocated block (by its head frame), coalescing
     with free buddies. @raise Invalid_argument on double free. *)
 
-val base : t -> Hw.Addr.pfn
-(** First zone's base frame. *)
-
-val zones : t -> (Hw.Addr.pfn * int) list
-(** The zones as [(base, frames)], in delegation order. *)
-
 val allocated_blocks : t -> (Hw.Addr.pfn * int) list
 (** Allocated block heads with their orders, sorted — the allocator's
     logical state for snapshot capture. *)

@@ -80,6 +80,142 @@ let prop_buddy_no_overlap =
       in
       no_overlap && Kernel_model.Buddy.check_invariants b)
 
+(* Free-and-reallocate churn on single- and multi-zone allocators must
+   leave every consistency check passing, and a fresh allocator that
+   replays [allocated_blocks] through [reserve] (snapshot restore) must
+   reach the same allocated state. *)
+let prop_buddy_invariants_under_churn =
+  let module B = Kernel_model.Buddy in
+  QCheck.Test.make ~name:"buddy: invariants hold under alloc/free churn" ~count:100
+    QCheck.(pair bool (list_of_size Gen.(int_range 1 300) (pair (int_bound 3) (int_bound 1000))))
+    (fun (multi, ops) ->
+      let segments = if multi then [ (1024, 600); (0, 37); (64, 200) ] else [ (5, 900) ] in
+      let b = B.create_zones ~segments in
+      let live = ref [] in
+      let churn_ok =
+        List.for_all
+          (fun (kind, x) ->
+            (match (kind, !live) with
+            | (0 | 1), _ -> (
+                match B.alloc_order b (x mod 4) with
+                | pfn -> live := pfn :: !live
+                | exception B.Out_of_memory -> ())
+            | _, [] -> ()
+            | _, l ->
+                let pfn = List.nth l (x mod List.length l) in
+                B.free b pfn;
+                live := List.filter (fun p -> p <> pfn) l);
+            B.check_invariants b)
+          ops
+      in
+      let replay = B.create_zones ~segments in
+      List.iter (fun (pfn, order) -> B.reserve replay pfn order) (B.allocated_blocks b);
+      let replayed =
+        B.allocated_blocks replay = B.allocated_blocks b
+        && B.free_frames replay = B.free_frames b
+        && B.check_invariants replay
+      in
+      List.iter (B.free b) !live;
+      churn_ok && replayed && B.check_invariants b && B.free_frames b = B.total_frames b)
+
+(* ------------- Buddy against the list-based reference ------------- *)
+
+type 'a outcome = Done of 'a | Oom | Invalid of string
+
+let run_new f =
+  match f () with
+  | v -> Done v
+  | exception Kernel_model.Buddy.Out_of_memory -> Oom
+  | exception Invalid_argument m -> Invalid m
+
+let run_ref f =
+  match f () with
+  | v -> Done v
+  | exception List_buddy.Out_of_memory -> Oom
+  | exception Invalid_argument m -> Invalid m
+
+let show_outcome show = function
+  | Done v -> show v
+  | Oom -> "Out_of_memory"
+  | Invalid m -> "Invalid_argument " ^ m
+
+(* Drive [Kernel_model.Buddy] and [List_buddy] with one seeded stream of
+   alloc / alloc_order / alloc_huge / free / reserve calls, valid and
+   not, and require the same answer from both at every step: the same
+   pfn or the same exception, the same free count, the same allocated
+   blocks and the same invariant verdict.  Allocation-heavy and
+   free-heavy phases alternate so free lists grow long and zones run
+   dry. *)
+let buddy_differential ~segments ~seed ~steps =
+  let module B = Kernel_model.Buddy in
+  let nb = B.create_zones ~segments and rb = List_buddy.create_zones ~segments in
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  let live = ref [] in
+  let taken pfn = live := pfn :: !live in
+  let released pfn = live := List.filter (fun p -> p <> pfn) !live in
+  let zone () = List.nth segments (pick (List.length segments)) in
+  let any_pfn () =
+    let base, frames = zone () in
+    base - 2 + pick (frames + 4)
+  in
+  let any_order () = if pick 8 = 0 then pick (B.max_order + 3) - 1 else pick 4 in
+  for step = 1 to steps do
+    let where = Printf.sprintf "seed %d step %d" seed step in
+    let freeing = step / 150 mod 2 = 1 in
+    let k = pick 10 in
+    let op, got, want, record =
+      if k < if freeing then 2 else 6 then
+        let op, alloc_new, alloc_ref =
+          match pick 4 with
+          | 0 -> ("alloc", B.alloc, List_buddy.alloc)
+          | 1 -> ("alloc_huge", B.alloc_huge, List_buddy.alloc_huge)
+          | _ ->
+              let o = any_order () in
+              ( Printf.sprintf "alloc_order %d" o,
+                (fun b -> B.alloc_order b o),
+                fun b -> List_buddy.alloc_order b o )
+        in
+        ( op,
+          run_new (fun () -> alloc_new nb),
+          run_ref (fun () -> alloc_ref rb),
+          taken )
+      else if k < 9 then
+        let pfn =
+          match !live with
+          | _ :: _ as l when pick 10 > 0 -> List.nth l (pick (List.length l))
+          | _ -> any_pfn ()
+        in
+        ( Printf.sprintf "free %d" pfn,
+          run_new (fun () -> B.free nb pfn; pfn),
+          run_ref (fun () -> List_buddy.free rb pfn; pfn),
+          released )
+      else
+        let o = any_order () in
+        let pfn =
+          if pick 10 = 0 then any_pfn ()
+          else
+            let base, frames = zone () in
+            let rel = pick frames in
+            base + if pick 4 = 0 || o < 0 then rel else rel land lnot ((1 lsl o) - 1)
+        in
+        ( Printf.sprintf "reserve %d order %d" pfn o,
+          run_new (fun () -> B.reserve nb pfn o; pfn),
+          run_ref (fun () -> List_buddy.reserve rb pfn o; pfn),
+          taken )
+    in
+    check string (where ^ ": " ^ op) (show_outcome string_of_int want) (show_outcome string_of_int got);
+    (match got with Done pfn -> record pfn | Oom | Invalid _ -> ());
+    check int (where ^ ": free_frames") (List_buddy.free_frames rb) (B.free_frames nb);
+    check
+      (list (pair int int))
+      (where ^ ": allocated_blocks") (List_buddy.allocated_blocks rb) (B.allocated_blocks nb);
+    check bool (where ^ ": check_invariants") (List_buddy.check_invariants rb) (B.check_invariants nb)
+  done
+
+let test_buddy_matches_reference segments () =
+  List.iter (fun seed -> buddy_differential ~segments ~seed ~steps:1500) [ 1; 2; 3 ]
+
 (* ------------------------------ Slab ------------------------------ *)
 
 let test_slab_alloc_free () =
@@ -455,6 +591,11 @@ let suite =
         test_case "huge alignment" `Quick test_buddy_huge_alignment;
         test_case "double free" `Quick test_buddy_double_free;
         QCheck_alcotest.to_alcotest prop_buddy_no_overlap;
+        QCheck_alcotest.to_alcotest prop_buddy_invariants_under_churn;
+        test_case "list reference: one zone" `Quick (test_buddy_matches_reference [ (100, 1000) ]);
+        test_case "list reference: 4096 frames" `Quick (test_buddy_matches_reference [ (0, 4096) ]);
+        test_case "list reference: 3 zones" `Quick
+          (test_buddy_matches_reference [ (6000, 300); (0, 77); (4099, 1100) ]);
       ] );
     ("kernel/slab", [ test_case "alloc/free/reclaim" `Quick test_slab_alloc_free ]);
     ( "kernel/vma",
