@@ -74,7 +74,11 @@ artifacts-identical: build
 	rm -rf $$dir; exit $$status
 
 # One-second run of every perfbench workload: each must exit 0 and
-# report "correct": true on its final JSON line.
+# report "correct": true on its final JSON line.  One more traced
+# fleet-serve run guards Fleet.Controller: perfbench replays
+# Controller.run_tenant through public calls and reports
+# trace.split_resolved = 1 only when every counter of that replay
+# matches the untraced Controller.run.
 perfbench-smoke: build
 	@for w in fleet-serve guest-memory clone-migrate; do \
 		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) \
@@ -83,6 +87,14 @@ perfbench-smoke: build
 			|| { echo "perfbench-smoke: $$w did not report \"correct\": true"; exit 1; }; \
 		echo "perfbench-smoke: $$w ok"; \
 	done
+	@out=$$(bash perfbench/run.sh --workload fleet-serve --seed 1 --seconds 1 --trace 1) \
+		|| { echo "perfbench-smoke: traced fleet-serve exited non-zero"; exit 1; }; \
+	line=$$(echo "$$out" | tail -n 1); \
+	echo "$$line" | grep -q '"correct": true' \
+		|| { echo "perfbench-smoke: traced fleet-serve did not report \"correct\": true"; exit 1; }; \
+	echo "$$line" | grep -q '"trace.split_resolved": {"value": 1,' \
+		|| { echo "perfbench-smoke: traced fleet-serve did not resolve its split"; exit 1; }; \
+	echo "perfbench-smoke: traced fleet-serve ok (split resolved)"
 
 # Formatting check; a no-op (with a note) where ocamlformat is not
 # installed, so `ci` works in minimal containers too.

@@ -123,7 +123,7 @@ let kv backend nested clients redis check =
   Printf.printf "%s %s with %d clients: %.1f k ops/s\n" b.Virt.Backend.label
     (Workloads.Kv.show_flavor flavor) clients (thr /. 1e3)
 
-let serve backend nested containers requests window workload rate sched fsync check =
+let serve backend nested containers requests window workload rate fsync check =
   let workload =
     match Ioplane.Serve.workload_of_string workload with
     | Some w -> w
@@ -140,7 +140,6 @@ let serve backend nested containers requests window workload rate sched fsync ch
       window;
       workload;
       rate_rps = rate;
-      use_sched = sched;
       fsync_every = fsync;
     }
   in
@@ -469,8 +468,9 @@ let race_check root inject =
       let mem = Hw.Phys_mem.create ~frames:64 in
       Some
         (run_traced "injected shared machine" (fun () ->
-             Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
-                 Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i))))
+             ignore
+               (Hw.Domain_shard.map ~domains:2 ~lanes:2 (fun i ->
+                    Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i)))))
     end
   in
   (match inject_report with
@@ -577,12 +577,6 @@ let serve_cmd =
       & opt float Ioplane.Serve.default_config.Ioplane.Serve.rate_rps
       & info [ "rate" ] ~doc:"Open-loop arrival rate per container (req/s).")
   in
-  let sched =
-    Arg.(
-      value & flag
-      & info [ "sched" ]
-          ~doc:"Multiplex guest work over preempted vCPU timeslices (cki backend only).")
-  in
   let fsync =
     Arg.(
       value & opt int 0
@@ -596,7 +590,7 @@ let serve_cmd =
           interrupt / exit counts.")
     Term.(
       const serve $ backend_arg $ nested_arg $ containers $ requests $ window $ workload $ rate
-      $ sched $ fsync $ check_arg)
+      $ fsync $ check_arg)
 
 let fleet_cmd =
   let tenants =

@@ -28,14 +28,28 @@ let () =
   List.iter
     (fun window -> Format.printf "%a@." Ioplane.Serve.pp_result (serve { base with Ioplane.Serve.backend = "cki"; window }))
     [ 1; 4; 8 ];
-  Printf.printf "\nEight containers, coalesced, multiplexed over preempted vCPU timeslices:\n\n";
-  Format.printf "%a@." Ioplane.Serve.pp_result
-    (serve
-       {
-         base with
-         Ioplane.Serve.backend = "cki";
-         containers = 8;
-         window = 4;
-         use_sched = true;
-         fsync_every = 8;
-       })
+  Printf.printf "\nEight CKI replicas, coalesced, multiplexed over preempted vCPU timeslices\n";
+  Printf.printf "(one fleet tenant at a fixed replica count; fleet_autoscale scales it):\n\n";
+  let tenant =
+    {
+      Fleet.Controller.default_tenant with
+      Fleet.Controller.name = "mux-8";
+      rate_rps = 8.0 *. base.Ioplane.Serve.rate_rps;
+      requests = 8 * base.Ioplane.Serve.requests_per_container;
+    }
+  in
+  let fixed =
+    { Fleet.Autoscaler.default_config with Fleet.Autoscaler.min_replicas = 8; max_replicas = 8 }
+  in
+  let r =
+    Fleet.Controller.run
+      {
+        Fleet.Controller.default_config with
+        Fleet.Controller.tenants = [ tenant ];
+        autoscaler = fixed;
+        initial_replicas = 8;
+        cpu_quota = None;
+        io_window = 4;
+      }
+  in
+  List.iter (Format.printf "%a@." Fleet.Controller.pp_tenant_result) r.Fleet.Controller.tenants

@@ -45,7 +45,6 @@ type t = {
   mutable breaches : int;
   mutable scale_outs : int;
   mutable scale_ins : int;
-  mutable last_p99_us : float;
 }
 
 let create ?(now = 0.0) cfg =
@@ -65,7 +64,6 @@ let create ?(now = 0.0) cfg =
     breaches = 0;
     scale_outs = 0;
     scale_ins = 0;
-    last_p99_us = 0.0;
   }
 
 let observe t ~latency_us =
@@ -79,7 +77,6 @@ let decide t ~now ~replicas =
     t.samples <- [];
     t.nsamples <- 0;
     t.windows <- t.windows + 1;
-    t.last_p99_us <- p99;
     let cooled = now -. t.last_action_ns >= t.cfg.cooldown_ns in
     if p99 > t.cfg.slo_p99_us then begin
       t.breaches <- t.breaches + 1;
@@ -109,4 +106,3 @@ let windows t = t.windows
 let breaches t = t.breaches
 let scale_outs t = t.scale_outs
 let scale_ins t = t.scale_ins
-let last_p99_us t = t.last_p99_us

@@ -42,4 +42,3 @@ val windows : t -> int
 val breaches : t -> int
 val scale_outs : t -> int
 val scale_ins : t -> int
-val last_p99_us : t -> float

@@ -139,14 +139,6 @@ type replica = {
   mutable rep_draining : bool;  (** excluded from balancer picks; destroyed when idle *)
 }
 
-let xorshift rng n =
-  let x = !rng in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  rng := x land max_int;
-  !rng mod n
-
 (* Per-tenant derived seed, never 0 (xorshift fixpoint). *)
 let tenant_seed base i =
   let s = (base lxor ((i + 1) * 0x9E3779B97F4A7C1)) land max_int in
@@ -155,7 +147,8 @@ let tenant_seed base i =
 (* One tenant's complete serving run on its own machine. *)
 let run_tenant cfg tenant ~seed =
   if tenant.requests < 1 then invalid_arg "Fleet: tenant needs at least one request";
-  if tenant.rate_rps <= 0.0 then invalid_arg "Fleet: tenant rate must be positive";
+  if not (Float.is_finite tenant.rate_rps && tenant.rate_rps > 0.0) then
+    invalid_arg "Fleet: tenant rate must be finite and positive";
   if cfg.hosts < 1 then invalid_arg "Fleet: need at least one host";
   (match cfg.drain with
   | Some d ->
@@ -172,8 +165,7 @@ let run_tenant cfg tenant ~seed =
   in
   let loop = Ioplane.Loop.create clock in
   let scheds = Array.map Cki.Vcpu_sched.create hosts in
-  let rng = ref seed in
-  let rand n = xorshift rng n in
+  let rand = Ioplane.Serve.xorshift (ref seed) in
   let ccfg = cfg.container_cfg in
   let pools =
     Array.map
@@ -503,29 +495,15 @@ let run ?(domains = 0) (cfg : config) =
   if domains < 0 then invalid_arg "Fleet: negative domain count";
   if cfg.tenants = [] then invalid_arg "Fleet: need at least one tenant";
   let tenants = Array.of_list cfg.tenants in
-  let lanes = Array.length tenants in
-  let outs = Array.make lanes None in
   (* Spawn/join/ring plumbing lives in [Hw.Domain_shard] (the repo's
-     one blessed spawn site); each tenant writes only its own [outs]
-     slot. *)
-  Hw.Domain_shard.run ~domains ~lanes (fun i ->
-      outs.(i) <- Some (run_tenant cfg tenants.(i) ~seed:(tenant_seed cfg.seed i)));
-  let out i = match outs.(i) with Some o -> o | None -> failwith "Fleet: tenant did not run" in
-  (* Simulated makespan under the fixed tenant->domain assignment. *)
-  let eff_domains = if domains <= 1 then 1 else domains in
-  let makespan = ref 0.0 in
-  for d = 0 to min eff_domains lanes - 1 do
-    let span = ref 0.0 in
-    let i = ref d in
-    while !i < lanes do
-      span := !span +. (out !i).tr_elapsed_ns;
-      i := !i + eff_domains
-    done;
-    if !span > !makespan then makespan := !span
-  done;
+     one blessed spawn site). *)
+  let outs =
+    Hw.Domain_shard.map ~domains ~lanes:(Array.length tenants) (fun i ->
+        run_tenant cfg tenants.(i) ~seed:(tenant_seed cfg.seed i))
+  in
   {
-    tenants = List.init lanes out;
-    makespan_ns = !makespan;
+    tenants = Array.to_list outs;
+    makespan_ns = Hw.Domain_shard.makespan ~domains (Array.map (fun tr -> tr.tr_elapsed_ns) outs);
     domains;
   }
 

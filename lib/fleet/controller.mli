@@ -46,10 +46,6 @@ type config = {
   seed : int;
 }
 
-val default_container_cfg : Cki.Config.t
-(** 4 MiB segments, one vCPU: sized so a host carries hundreds of
-    replicas. *)
-
 val default_config : config
 
 type spawn_sample = { s_ns : float; s_pool_hit : bool }
@@ -93,7 +89,8 @@ val tenant_seed : int -> int -> int
 val run_tenant : config -> tenant -> seed:int -> tenant_result
 (** One tenant's complete serving run on its own machine.  Exposed for
     tests; {!run} is the fleet entry point.
-    @raise Invalid_argument on a malformed tenant;
+    @raise Invalid_argument on a malformed tenant (fewer than one
+    request, or a rate that is not finite and positive);
     @raise Failure if the harness cannot converge or a bootstrap
     replica fails verification. *)
 

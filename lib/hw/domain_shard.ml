@@ -17,11 +17,11 @@
    original per-event domain tags preserved ([Probe.emit_tagged]),
    then one [Domain_join] edge per worker.  Accesses by two sibling
    workers to one object are therefore unordered (no edge between
-   them) and get flagged; everything the caller does after [run]
+   them) and get flagged; everything the caller does after [map]
    returns is ordered after every worker via the join edges. *)
 
-let run ?(domains = 1) ~lanes f =
-  if lanes < 0 then invalid_arg "Domain_shard.run: negative lane count";
+let map ?(domains = 1) ~lanes f =
+  if lanes < 0 then invalid_arg "Domain_shard.map: negative lane count";
   let want_trace = Probe.active () in
   let parent = Probe.self_dom () in
   (* One ring per lane: slot [i] is written only by whichever domain
@@ -33,11 +33,19 @@ let run ?(domains = 1) ~lanes f =
          (fixed round-robin assignment); the merged replay below is checked by \
          Analysis.Racecheck"]
   in
+  let results =
+    Array.make lanes None
+      [@@domain_shared
+        "per-lane result slots are written only by the one domain running that lane \
+         and read only after every worker is joined"]
+  in
   let run_lane i =
     (match rings.(i) with Some r -> Probe.set_ring r | None -> ());
-    Fun.protect
-      ~finally:(fun () -> if rings.(i) <> None then Probe.clear_sink ())
-      (fun () -> f i)
+    results.(i) <-
+      Some
+        (Fun.protect
+           ~finally:(fun () -> if rings.(i) <> None then Probe.clear_sink ())
+           (fun () -> f i))
   in
   (* [suspended] parks the caller's sink while lanes run (an inline
      lane on this domain installs its own ring) and restores it for
@@ -78,4 +86,20 @@ let run ?(domains = 1) ~lanes f =
     rings;
   Array.iter
     (fun child -> Probe.emit_tagged ~dom:parent (Probe.Domain_join { parent; child }))
-    children
+    children;
+  Array.map Option.get results
+
+let makespan ~domains spans =
+  let domains = max 1 domains in
+  let lanes = Array.length spans in
+  let best = ref 0.0 in
+  for d = 0 to min domains lanes - 1 do
+    let span = ref 0.0 in
+    let i = ref d in
+    while !i < lanes do
+      span := !span +. spans.(!i);
+      i := !i + domains
+    done;
+    if !span > !best then best := !span
+  done;
+  !best

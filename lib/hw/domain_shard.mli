@@ -1,9 +1,10 @@
 (** Shared spawn/join/merge scaffolding for the domain-sharded engines.
 
-    [run ?domains ~lanes f] runs [f i] once for every lane
+    [map ?domains ~lanes f] runs [f i] once for every lane
     [i ∈ 0..lanes-1], round-robin across [max 1 domains] OCaml
     domains ([domains <= 1] runs every lane inline on the calling
-    domain — no spawns, the deterministic reference path).
+    domain — no spawns, the deterministic reference path), and returns
+    the lane results in lane order.
 
     Probe integration: if the caller has a sink attached, each lane
     records into its own private ring (the caller's sink is parked
@@ -17,4 +18,11 @@
     concurrently on distinct domains); this is the contract the
     domain-race sanitizer exists to enforce. *)
 
-val run : ?domains:int -> lanes:int -> (int -> unit) -> unit
+val map : ?domains:int -> lanes:int -> (int -> 'a) -> 'a array
+
+val makespan : domains:int -> float array -> float
+(** [makespan ~domains spans]: the simulated parallel makespan of lanes
+    with elapsed times [spans] under the fixed round-robin assignment
+    [map] uses — the max over domains of the sum of that domain's lane
+    spans, summed in lane order ([domains <= 1] counts as one domain;
+    [0.0] for no lanes). *)

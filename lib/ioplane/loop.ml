@@ -41,7 +41,6 @@ let create clock =
 
 let switch t = t.switch
 let blkstore t = t.blkstore
-let attachments t = t.attachments
 
 (* One service pass over [att]: drain its TX queue through the switch
    and its blk queue into the store, forcing the completion interrupts

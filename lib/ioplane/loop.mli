@@ -21,7 +21,6 @@ type t
 val create : Hw.Clock.t -> t
 val switch : t -> Switch.t
 val blkstore : t -> Blkstore.t
-val attachments : t -> attachment list
 
 val attach : t -> Kernel_model.Kernel.t -> name:string -> attachment
 (** Give [kernel] a switch port and install the io-backend hooks

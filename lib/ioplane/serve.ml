@@ -226,10 +226,7 @@ type config = {
   queue_size : int;
   rate_rps : float;  (** open-loop arrival rate per container *)
   workload : workload;
-  use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)
   fsync_every : int;  (** kv: log-append + fsync every Nth SET; 0 = off *)
-  cpu_quota : (float * float) option;
-      (** cgroup-style (period_ns, budget_ns) cap per vCPU; needs [use_sched] *)
 }
 
 let default_config =
@@ -242,9 +239,7 @@ let default_config =
     queue_size = 64;
     rate_rps = 50_000.0;
     workload = Kv_memcached;
-    use_sched = false;
     fsync_every = 0;
-    cpu_quota = None;
   }
 
 type result = {
@@ -280,13 +275,19 @@ type chan = { lane : Lane.t; mutable next_arrival : float }
 
 let default_seed = 0x2545F4914F6CDD1D
 
+let xorshift rng n =
+  let x = !rng in
+  let x = x lxor (x lsl 13) in
+  let x = x lxor (x lsr 7) in
+  let x = x lxor (x lsl 17) in
+  rng := x land max_int;
+  !rng mod n
+
 (* One fleet on one machine: the original sequential engine, now
    seedable so the sharded mode can give every lane its own
    deterministic request stream.  Returns the derived result plus the
    raw latencies and elapsed time the merge needs. *)
 let run_core ?(seed = default_seed) cfg =
-  if cfg.containers < 1 then invalid_arg "Serve: need at least one container";
-  if cfg.requests_per_container < 1 then invalid_arg "Serve: need at least one request";
   let env = if cfg.nested then Virt.Env.Nested else Virt.Env.Bare_metal in
   let mem_mib = 256 + (128 * cfg.containers) in
   let machine = Hw.Machine.create ~cpus:4 ~mem_mib () in
@@ -309,16 +310,7 @@ let run_core ?(seed = default_seed) cfg =
   let loop = Loop.create clock in
   let switch = Loop.switch loop in
   let interval = 1e9 /. cfg.rate_rps in
-  let rng = ref seed in
-  let rand n =
-    (* xorshift; Serve stays deterministic across runs *)
-    let x = !rng in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    rng := x land max_int;
-    !rng mod n
-  in
+  let rand = xorshift (ref seed) in
   let mk_chan i =
     let b = mk_backend () in
     let name = Printf.sprintf "%s%d" cfg.backend i in
@@ -333,30 +325,6 @@ let run_core ?(seed = default_seed) cfg =
     }
   in
   let chans = List.init cfg.containers mk_chan in
-  (* Optional vCPU-scheduler multiplexing: guest work runs inside
-     preempted timeslices, device service in the after-slice window. *)
-  let sched =
-    if cfg.use_sched then
-      match (host, !cki_containers) with
-      | Some h, cs when cs <> [] ->
-          let s = Cki.Vcpu_sched.create h in
-          let entries =
-            List.map
-              (fun c -> Cki.Vcpu_sched.add_vcpu ?quota:cfg.cpu_quota s c ~vcpu:0)
-              (List.rev cs)
-          in
-          Some (s, entries)
-      | _ -> None
-    else None
-  in
-  let sched_submit_of =
-    match sched with
-    | None -> fun _ -> None
-    | Some (_, entries) ->
-        let arr = Array.of_list entries in
-        fun i ->
-          if i < Array.length arr then Some (Cki.Vcpu_sched.submit_work arr.(i)) else None
-  in
   let total = cfg.containers * cfg.requests_per_container in
   let latencies = ref [] in
   let completed = ref 0 in
@@ -387,16 +355,8 @@ let run_core ?(seed = default_seed) cfg =
           progressed := true
         done)
       chans;
-    (* Pump inbound frames into each guest, then run the guest-side
-       handlers (directly, or as scheduled vCPU work). *)
-    List.iteri
-      (fun i c -> if Lane.pump ?submit:(sched_submit_of i) c.lane > 0 then progressed := true)
-      chans;
-    (match sched with
-    | Some (s, _) ->
-        Cki.Vcpu_sched.run s ~slices:cfg.containers ~after_slice:(fun () ->
-            ignore (Loop.tick loop))
-    | None -> ());
+    (* Pump inbound frames into each guest; handlers run inline. *)
+    List.iter (fun c -> if Lane.pump c.lane > 0 then progressed := true) chans;
     (* Host event-loop iteration: service outstanding queues (batch
        window boundary — coalesced completions force one interrupt). *)
     if Loop.tick loop > 0 then progressed := true;
@@ -503,37 +463,18 @@ let lane_seed i =
 let run_sharded ~domains cfg =
   let lanes = cfg.containers in
   let lane_cfg = { cfg with containers = 1 } in
-  let outs = Array.make lanes None in
   (* Spawn/join/ring plumbing lives in [Hw.Domain_shard] (the repo's
-     one blessed spawn site); each lane writes only its own [outs]
-     slot. *)
-  Hw.Domain_shard.run ~domains ~lanes (fun i ->
-      outs.(i) <- Some (run_core ~seed:(lane_seed i) lane_cfg));
-  let out i = match outs.(i) with Some o -> o | None -> failwith "Serve: lane did not run" in
-  let sum_i f =
-    let acc = ref 0 in
-    for i = 0 to lanes - 1 do
-      let r, _, _, _ = out i in
-      acc := !acc + f r
-    done;
-    !acc
+     one blessed spawn site). *)
+  let outs =
+    Hw.Domain_shard.map ~domains ~lanes (fun i -> run_core ~seed:(lane_seed i) lane_cfg)
   in
-  (* Simulated parallel makespan under the fixed lane->domain map. *)
-  let makespan = ref 0.0 in
-  for d = 0 to min domains lanes - 1 do
-    let span = ref 0.0 in
-    let i = ref d in
-    while !i < lanes do
-      let _, _, _, elapsed = out !i in
-      span := !span +. elapsed;
-      i := !i + domains
-    done;
-    if !span > !makespan then makespan := !span
-  done;
-  let lat_us = List.concat (List.init lanes (fun i -> let _, _, l, _ = out i in l)) in
+  let sum_i f = Array.fold_left (fun acc (r, _, _, _) -> acc + f r) 0 outs in
+  let makespan = Hw.Domain_shard.makespan ~domains (Array.map (fun (_, _, _, e) -> e) outs) in
+  let outs_l = Array.to_list outs in
+  let lat_us = List.concat_map (fun (_, _, l, _) -> l) outs_l in
   let p50, p95, p99 = p50_p95_p99 lat_us in
-  let containers = List.concat (List.init lanes (fun i -> let _, cs, _, _ = out i in cs)) in
-  let r0, _, _, _ = out 0 in
+  let containers = List.concat_map (fun (_, cs, _, _) -> cs) outs_l in
+  let r0, _, _, _ = outs.(0) in
   let total = sum_i (fun r -> r.r_requests) in
   let doorbells = sum_i (fun r -> r.r_doorbells) in
   let interrupts = sum_i (fun r -> r.r_interrupts) in
@@ -544,7 +485,7 @@ let run_sharded ~domains cfg =
       r0 with
       r_containers = lanes;
       r_requests = total;
-      r_throughput_rps = fl /. (!makespan /. 1e9);
+      r_throughput_rps = fl /. (makespan /. 1e9);
       r_mean_us = Report.Stats.mean lat_us;
       r_p50_us = p50;
       r_p95_us = p95;
@@ -561,7 +502,7 @@ let run_sharded ~domains cfg =
       r_switch_forwarded = sum_i (fun r -> r.r_switch_forwarded);
       r_blk_writes = sum_i (fun r -> r.r_blk_writes);
       r_service_passes = sum_i (fun r -> r.r_service_passes);
-      r_wall_ns = !makespan;
+      r_wall_ns = makespan;
       r_domains = domains;
     }
   in
@@ -569,6 +510,10 @@ let run_sharded ~domains cfg =
 
 let run ?(domains = 0) cfg =
   if domains < 0 then invalid_arg "Serve: negative domain count";
+  if cfg.containers < 1 then invalid_arg "Serve: need at least one container";
+  if cfg.requests_per_container < 1 then invalid_arg "Serve: need at least one request";
+  if not (Float.is_finite cfg.rate_rps && cfg.rate_rps > 0.0) then
+    invalid_arg "Serve: arrival rate must be finite and positive";
   if domains = 0 then begin
     let result, containers, _, _ = run_core cfg in
     (result, containers)

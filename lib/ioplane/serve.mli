@@ -74,11 +74,7 @@ type config = {
   queue_size : int;
   rate_rps : float;  (** open-loop arrival rate per container *)
   workload : workload;
-  use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)
   fsync_every : int;  (** kv: log-append + fsync every Nth SET; 0 = off *)
-  cpu_quota : (float * float) option;
-      (** cgroup-style (period_ns, budget_ns) runtime cap applied to
-          every vCPU; only meaningful with [use_sched] on cki. *)
 }
 
 val default_config : config
@@ -111,6 +107,10 @@ type result = {
   r_domains : int;  (** 0 = shared-machine sequential path *)
 }
 
+val xorshift : int ref -> int -> int
+(** [xorshift rng n] steps the xorshift state [rng] and draws from
+    [0, n): the request-key stream of {!run} and [Fleet.Controller]. *)
+
 val exit_events : string -> string list
 (** Clock event names that count as privilege-boundary exits for a
     backend (empty for runc). *)
@@ -136,6 +136,11 @@ val run : ?domains:int -> config -> result * Cki.Container.t list
     lane assignment). Everything except that makespan accounting
     ([r_wall_ns], [r_throughput_rps], [r_domains]) is identical for
     every [domains >= 1]; [domains = 1] runs the lanes inline with no
-    spawns. *)
+    spawns.
+
+    Every guest handler runs inline as its frame is pumped; scheduled,
+    quota-capped serving is [Fleet.Controller]'s.
+    @raise Invalid_argument on fewer than one container or request per
+    container, or an arrival rate that is not finite and positive. *)
 
 val pp_result : Format.formatter -> result -> unit

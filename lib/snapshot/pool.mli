@@ -1,9 +1,8 @@
 (** Warm pool of frozen templates serving instant scale-out.
 
-    {!Cki.Host.Warm_pool} instantiated at {!Template.t}: [create]
-    pre-boots and freezes [target] templates; {!spawn_fast} rotates to
-    the next one and warm-clones it, paying neither guest-kernel boot
-    nor full-image copy.  A take from a ready template is a hit; a take
+    [create] pre-boots and freezes [target] templates; {!spawn_fast}
+    rotates to the next one and warm-clones it, paying neither
+    guest-kernel boot nor full-image copy.  A take from a ready template is a hit; a take
     from an empty pool builds a template inline (the cold path) and is
     counted as a miss — {!refill_low_water} is the background hook that
     keeps bursts ahead of that cliff. *)
@@ -15,7 +14,8 @@ type stats = { hits : int; misses : int; refills : int; size : int; served : int
 val create : ?low_water:int -> target:int -> make:(unit -> Template.t) -> unit -> t
 (** [make] typically boots a container, runs its init workload, then
     {!Template.create}s it; it must raise on failure. [low_water]
-    (default 0) arms {!refill_low_water}. *)
+    (default 0) arms {!refill_low_water}.
+    @raise Invalid_argument unless [0 <= low_water <= target]. *)
 
 val spawn_fast : ?verify:bool -> t -> (Cki.Container.t, Template.error) result
 

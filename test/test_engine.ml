@@ -333,12 +333,15 @@ let test_clock_one_tier () =
 let test_clock_concurrent_intern () =
   let names = Array.init 500 (fun _ -> fresh_name "race") in
   let n = Array.length names in
-  let ids = Array.init 2 (fun _ -> Array.make n (-1)) in
-  Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun lane ->
-      for k = 0 to n - 1 do
-        let i = if lane = 0 then k else n - 1 - k in
-        ids.(lane).(i) <- Hw.Clock.intern names.(i)
-      done);
+  let ids =
+    Hw.Domain_shard.map ~domains:2 ~lanes:2 (fun lane ->
+        let mine = Array.make n (-1) in
+        for k = 0 to n - 1 do
+          let i = if lane = 0 then k else n - 1 - k in
+          mine.(i) <- Hw.Clock.intern names.(i)
+        done;
+        mine)
+  in
   check bool "both domains got the same id for every name" true (ids.(0) = ids.(1));
   check int "one id per name" n (List.length (List.sort_uniq compare (Array.to_list ids.(0))));
   Array.iteri
@@ -451,6 +454,33 @@ let test_tcache_invisible () =
 (* ------------------------------------------------------------------ *)
 (* Domain sharding                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* [map] hands lane results back in lane order whatever the domain
+   count, and [makespan] is the largest per-domain sum under the
+   round-robin lane->domain map. *)
+let test_domain_shard_map_makespan () =
+  List.iter
+    (fun domains ->
+      check (array int)
+        (Printf.sprintf "lane order, %d domains" domains)
+        [| 0; 1; 4; 9; 16 |]
+        (Hw.Domain_shard.map ~domains ~lanes:5 (fun i -> i * i)))
+    [ 0; 1; 2; 4 ];
+  let spans = [| 1.5; 2.0; 3.25; 4.0; 5.0 |] in
+  List.iter
+    (fun (domains, want) ->
+      check (float 0.0)
+        (Printf.sprintf "makespan, %d domains" domains)
+        want
+        (Hw.Domain_shard.makespan ~domains spans))
+    [
+      (0, 1.5 +. 2.0 +. 3.25 +. 4.0 +. 5.0);
+      (1, 1.5 +. 2.0 +. 3.25 +. 4.0 +. 5.0);
+      (2, 1.5 +. 3.25 +. 5.0);
+      (4, 1.5 +. 5.0);
+      (8, 5.0);
+    ];
+  check (float 0.0) "no lanes" 0.0 (Hw.Domain_shard.makespan ~domains:2 [||])
 
 (* The sharded serve engine must be a pure function of the config and
    lane count: running the same 4-lane fleet on 1, 2 and 4 domains must
@@ -629,6 +659,7 @@ let suite =
       ] );
     ( "engine-sharding",
       [
+        test_case "map lane order, makespan by hand" `Quick test_domain_shard_map_makespan;
         test_case "domains 1/2/4 merge identically" `Slow test_sharding_deterministic;
         test_case "makespan accounting scales" `Slow test_sharding_scales;
       ] );

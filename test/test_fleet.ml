@@ -200,7 +200,18 @@ let test_pool_stats_drain_refill () =
   let st = Snapshot.Pool.stats pool in
   check int "post-refill take is a hit" 2 st.Snapshot.Pool.hits;
   check int "refills recorded" 2 st.Snapshot.Pool.refills;
-  check int "served totals takes" 3 st.Snapshot.Pool.served
+  check int "served totals takes" 3 st.Snapshot.Pool.served;
+  check_raises "low water above target is refused" (Invalid_argument "Snapshot.Pool.create")
+    (fun () -> ignore (mk_pool ~low_water:3 ~target:2 host));
+  (* An empty pool's first spawn builds inline and keeps the template. *)
+  let cold = mk_pool ~low_water:0 ~target:0 host in
+  ignore (spawn_exn cold);
+  check int "first spawn of an empty pool is a miss" 1
+    (Snapshot.Pool.stats cold).Snapshot.Pool.misses;
+  ignore (spawn_exn cold);
+  let st = Snapshot.Pool.stats cold in
+  check int "the kept template serves the second spawn" 1 st.Snapshot.Pool.hits;
+  check int "still one miss" 1 st.Snapshot.Pool.misses
 
 let test_pool_refill_noop_above_low_water () =
   let host = Cki.Host.create (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()) in
@@ -435,6 +446,20 @@ let test_controller_drain_validation () =
   check_raises "drain host must exist" (Invalid_argument "Fleet: drain host out of range")
     (bad 2 (Some { Fleet.Controller.d_host = 5; d_after_requests = 1 }))
 
+(* A rate that is not finite and positive has no arrival schedule. *)
+let test_controller_rate_validation () =
+  List.iter
+    (fun rate_rps ->
+      let t = { Fleet.Controller.default_tenant with Fleet.Controller.requests = 10; rate_rps } in
+      check_raises
+        (Printf.sprintf "rate %g is refused" rate_rps)
+        (Invalid_argument "Fleet: tenant rate must be finite and positive")
+        (fun () ->
+          ignore
+            (Fleet.Controller.run
+               { Fleet.Controller.default_config with Fleet.Controller.tenants = [ t ] })))
+    [ 0.0; -1.0; nan; infinity ]
+
 let test_controller_shed_isolation () =
   let polite =
     {
@@ -542,6 +567,7 @@ let suite =
         test_case "controller: scale-in after drain" `Quick test_controller_scale_in_after_drain;
         test_case "controller: drain_host holds the SLO" `Quick test_controller_drain_host_holds_slo;
         test_case "controller: drain validation" `Quick test_controller_drain_validation;
+        test_case "controller: rate validation" `Quick test_controller_rate_validation;
         test_case "controller: shed isolation" `Quick test_controller_shed_isolation;
         test_case "controller: deterministic across domains" `Quick
           test_controller_deterministic_across_domains;

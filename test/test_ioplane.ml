@@ -153,11 +153,21 @@ let test_serve_exit_ordering () =
   check_bool "coalescing reduced doorbells" true
     (cki_coal.Ioplane.Serve.r_doorbells < cki_naive.Ioplane.Serve.r_doorbells)
 
-let test_serve_sched_multiplexed () =
-  let cfg = { (small_cfg "cki" 1) with Ioplane.Serve.use_sched = true } in
-  let r = serve_checked cfg in
-  check_int "all requests completed under the scheduler" 50 r.Ioplane.Serve.r_requests;
-  check_bool "throughput positive" true (r.Ioplane.Serve.r_throughput_rps > 0.0)
+(* A rate that is not finite and positive has no arrival schedule; it
+   must be refused up front, not spun until the round cap. *)
+let test_serve_rejects_bad_rate () =
+  List.iter
+    (fun rate_rps ->
+      List.iter
+        (fun domains ->
+          check_raises
+            (Printf.sprintf "rate %g, %d domains" rate_rps domains)
+            (Invalid_argument "Serve: arrival rate must be finite and positive")
+            (fun () ->
+              ignore
+                (Ioplane.Serve.run ~domains { (small_cfg "cki" 1) with Ioplane.Serve.rate_rps })))
+        [ 0; 1 ])
+    [ 0.0; -1.0; nan; infinity ]
 
 let test_serve_blk_path () =
   let cfg = { (small_cfg "cki" 1) with Ioplane.Serve.fsync_every = 2 } in
@@ -321,8 +331,8 @@ let suite =
       [
         test_case "all four backends serve clean" `Quick test_serve_all_backends;
         test_case "Fig 16 exit ordering" `Quick test_serve_exit_ordering;
-        test_case "vCPU-scheduler multiplexing" `Quick test_serve_sched_multiplexed;
         test_case "fsync rides virtio-blk into the store" `Quick test_serve_blk_path;
+        test_case "non-finite or non-positive rate refused" `Quick test_serve_rejects_bad_rate;
       ] );
     ( "ioplane-snapshot",
       [

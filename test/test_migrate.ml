@@ -298,13 +298,14 @@ let test_concurrent_migrations_racecheck_clean () =
       (fun () ->
         let (), trace =
           Analysis.Trace.with_recorder ~capacity:400_000 (fun () ->
-              Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun _ ->
-                  let _fab, st =
-                    migrate_app ~heap_pages:64
-                      ~opts:{ Migrate.Engine.default_opts with Migrate.Engine.verify = false }
-                      ()
-                  in
-                  assert (st.Migrate.Engine.outcome = Migrate.Engine.Completed)))
+              ignore
+                (Hw.Domain_shard.map ~domains:2 ~lanes:2 (fun _ ->
+                     let _fab, st =
+                       migrate_app ~heap_pages:64
+                         ~opts:{ Migrate.Engine.default_opts with Migrate.Engine.verify = false }
+                         ()
+                     in
+                     assert (st.Migrate.Engine.outcome = Migrate.Engine.Completed))))
         in
         Analysis.Racecheck.of_trace trace)
   in

@@ -114,8 +114,9 @@ let test_shared_machine_across_lanes_caught () =
   let mem = Hw.Phys_mem.create ~frames:64 in
   let (), report =
     with_race_capture (fun () ->
-        Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
-            Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i)))
+        ignore
+          (Hw.Domain_shard.map ~domains:2 ~lanes:2 (fun i ->
+               Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i))))
   in
   check bool "shared machine across lanes is flagged" false (R.is_clean report);
   (match report.R.races with
@@ -129,10 +130,11 @@ let test_disjoint_lanes_clean () =
   (* The production discipline: each lane owns its machine. *)
   let (), report =
     with_race_capture (fun () ->
-        Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
-            let mem = Hw.Phys_mem.create ~frames:64 in
-            Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i);
-            ignore (Hw.Phys_mem.owner mem 3)))
+        ignore
+          (Hw.Domain_shard.map ~domains:2 ~lanes:2 (fun i ->
+               let mem = Hw.Phys_mem.create ~frames:64 in
+               Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i);
+               ignore (Hw.Phys_mem.owner mem 3))))
   in
   check bool "per-lane machines are clean" true (R.is_clean report);
   check bool "accesses were actually traced" true (report.R.accesses > 0)
@@ -143,8 +145,9 @@ let test_sequential_lanes_clean () =
   let mem = Hw.Phys_mem.create ~frames:64 in
   let (), report =
     with_race_capture (fun () ->
-        Hw.Domain_shard.run ~domains:1 ~lanes:2 (fun i ->
-            Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i)))
+        ignore
+          (Hw.Domain_shard.map ~domains:1 ~lanes:2 (fun i ->
+               Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i))))
   in
   check bool "sequential lanes share a domain — clean" true (R.is_clean report);
   check int "no spawn/join edges without workers" 0 report.R.edges
