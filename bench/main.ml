@@ -19,7 +19,9 @@
 
    `validate` parses every BENCH_*.json in the current directory with
    Report.Json.parse and fails if any is malformed — the CI check that
-   the checked-in artifacts stay well-formed. *)
+   the checked-in artifacts stay well-formed.  It also rescans the
+   source tree and fails if BENCH_srclint.json is stale: any field but
+   scan_ms differing from the fresh scan. *)
 
 let validate_artifacts () =
   let files =
@@ -37,14 +39,22 @@ let validate_artifacts () =
   List.iter
     (fun f ->
       match Report.Json.parse_file f with
-      | Ok (Report.Json.Obj fields) ->
+      | Ok (Report.Json.Obj fields as v) -> (
           let bench =
             match List.assoc_opt "bench" fields with
             | Some (Report.Json.String s) -> s
             | _ -> "?"
           in
-          Printf.printf "  %-24s ok (bench=%s, %d top-level fields)\n" f bench
-            (List.length fields)
+          match if bench = "srclint" then Srclint_bench.stale_fields v else [] with
+          | [] ->
+              Printf.printf "  %-24s ok (bench=%s, %d top-level fields)\n" f bench
+                (List.length fields)
+          | stale ->
+              Printf.printf
+                "  %-24s STALE: %s differ from a fresh scan; regenerate with `bench/main.exe \
+                 srclint --json`\n"
+                f (String.concat ", " stale);
+              incr bad)
       | Ok _ ->
           Printf.printf "  %-24s MALFORMED: top level is not an object\n" f;
           incr bad
@@ -53,7 +63,7 @@ let validate_artifacts () =
           incr bad)
     files;
   if !bad > 0 then begin
-    Printf.eprintf "validate: %d malformed artifact(s)\n" !bad;
+    Printf.eprintf "validate: %d malformed or stale artifact(s)\n" !bad;
     exit 1
   end
 

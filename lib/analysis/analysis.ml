@@ -56,13 +56,6 @@ let report ?(title = "CKI invariant check") r = Report.Findings.render ~title (f
 let assert_clean ?(label = "analysis") r =
   if not (is_clean r) then failwith (label ^ ": " ^ report ~title:label r)
 
-(* Run [f] with a recorder attached, then sanitize the machine state
-   and lint the captured trace. *)
-let run ~containers f =
-  let x, trace = Trace.with_recorder f in
-  let r = { violations = check_machine ~containers; lints = lint_trace trace } in
-  (x, r)
-
 (* Scenario wrapper for code that boots its containers inside [f]:
    [f] returns its result alongside the containers to check; the
    machine is sanitized and the trace linted afterwards, failing on

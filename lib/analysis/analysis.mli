@@ -48,10 +48,6 @@ val report : ?title:string -> result -> string
 val assert_clean : ?label:string -> result -> unit
 (** @raise Failure with the rendered report on any finding. *)
 
-val run : containers:Cki.Container.t list -> (unit -> 'a) -> 'a * result
-(** Run [f] with a recorder attached, then sanitize the machine state
-    and lint the captured trace. *)
-
 val checked : ?label:string -> (unit -> 'a * Cki.Container.t list) -> 'a
 (** Scenario wrapper for code that boots its containers inside [f]:
     sanitizes the machine and lints the trace afterwards, failing on

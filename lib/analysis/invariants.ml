@@ -30,7 +30,7 @@ type violation =
   | Segment_overlap of { container : int; other : int; base : Hw.Addr.pfn; frames : int }
   | Segment_owner of { container : int; pfn : Hw.Addr.pfn; owner : string }
   | Cow_writable of { container : int; va : Hw.Addr.va; pfn : Hw.Addr.pfn }
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 let rule_name = function
   | Undeclared_ptp _ -> "I1-undeclared-ptp"

@@ -50,23 +50,13 @@ type violation =
       (** a CoW-shared template frame is reachable through a writable
           leaf — one clone could corrupt every sibling *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val show_violation : violation -> string
-val equal_violation : violation -> violation -> bool
 
 val rule_name : violation -> string
 (** Short stable identifier, e.g. ["I1-undeclared-ptp"]. *)
 
 val subject : violation -> string
 (** What the violation is about, e.g. ["container 0"]. *)
-
-val check_container : Cki.Container.t -> violation list
-(** Scan one container: page-table walk of every declared root and all
-    its per-vCPU copies, declared-PTP metadata, template splices, copy
-    coherence, and each vCPU's TLB against the live tables. *)
-
-val check_segments : Cki.Container.t list -> violation list
-(** Cross-container checks: segment disjointness and frame ownership. *)
 
 val check_machine : containers:Cki.Container.t list -> violation list
 (** [check_container] on every container plus [check_segments]. *)

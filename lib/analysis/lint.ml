@@ -10,7 +10,7 @@ type finding =
   | Forged_completion of { queue : string; used_idx : int }
   | Empty_doorbell of { queue : string; avail_idx : int }
   | Trace_truncated of { dropped : int; withdrawn : int }
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 let rule_name = function
   | Destructive_exec _ -> "E2-destructive-exec"

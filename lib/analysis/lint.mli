@@ -38,9 +38,7 @@ type finding =
           suppressed because the truncation made their gate context
           unknowable — informational, not a violation *)
 
-val pp_finding : Format.formatter -> finding -> unit
 val show_finding : finding -> string
-val equal_finding : finding -> finding -> bool
 
 val rule_name : finding -> string
 val subject : finding -> string

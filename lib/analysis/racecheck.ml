@@ -37,7 +37,7 @@ type race = {
   second_dom : int;
   second_write : bool;
 }
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 type report = {
   races : race list;  (** deduped per (mem, pfn, dom pair), stream order *)

@@ -24,10 +24,6 @@ type race = {
   second_write : bool;
 }
 
-val pp_race : Format.formatter -> race -> unit
-val show_race : race -> string
-val equal_race : race -> race -> bool
-
 type report = {
   races : race list;  (** deduped per (mem, pfn, domain pair), stream order *)
   events : int;  (** total events replayed *)

@@ -16,9 +16,7 @@ let attach t = Hw.Probe.set_ring t.ring
 let detach () = Hw.Probe.clear_sink ()
 let events t = Hw.Probe.ring_events t.ring
 let tagged_events t = Hw.Probe.ring_events_tagged t.ring
-let length t = Hw.Probe.ring_length t.ring
 let dropped t = Hw.Probe.ring_dropped t.ring
-let clear t = Hw.Probe.ring_clear t.ring
 
 let with_recorder ?capacity f =
   let t = create ?capacity () in

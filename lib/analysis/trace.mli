@@ -14,13 +14,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 events. *)
 
-val attach : t -> unit
-(** Install this recorder as the {!Hw.Probe} sink (replaces any
-    previous sink). *)
-
-val detach : unit -> unit
-(** Remove the probe sink (whichever recorder holds it). *)
-
 val record : t -> Hw.Probe.event -> unit
 (** Append one event directly. This is also the injection point for
     fault-injection tests, which synthesize event sequences that the
@@ -33,12 +26,8 @@ val tagged_events : t -> (int * Hw.Probe.event) list
 (** Captured events, oldest first, each paired with the id of the
     domain that emitted it — the input {!Racecheck.check} consumes. *)
 
-val length : t -> int
-
 val dropped : t -> int
 (** Events lost to ring-buffer overflow. *)
-
-val clear : t -> unit
 
 val with_recorder : ?capacity:int -> (unit -> 'a) -> 'a * t
 (** [with_recorder f] runs [f] with a fresh recorder attached, then

@@ -4,7 +4,7 @@
    Each attack returns [Blocked mechanism] describing which defence
    stopped it, or [Succeeded] — tests assert every one is blocked. *)
 
-type outcome = Blocked of string | Succeeded [@@deriving show { with_path = false }, eq]
+type outcome = Blocked of string | Succeeded
 
 let is_blocked = function Blocked _ -> true | Succeeded -> false
 

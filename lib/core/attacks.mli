@@ -6,9 +6,6 @@
 
 type outcome = Blocked of string | Succeeded
 
-val pp_outcome : Format.formatter -> outcome -> unit
-val show_outcome : outcome -> string
-val equal_outcome : outcome -> outcome -> bool
 val is_blocked : outcome -> bool
 
 val attempt_priv_instruction : Container.t -> Hw.Priv.t -> outcome

@@ -51,7 +51,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
   let machine = Host.machine host in
   let clock = Hw.Machine.clock machine in
   let gates =
-    Gates.create ~ksm ~cfg ~clock ~host_cr3:(Host.host_root host) ~host_pcid:(Host.host_pcid host)
+    Gates.create ~ksm ~clock ~host_cr3:(Host.host_root host) ~host_pcid:(Host.host_pcid host)
   in
   let cpus =
     Array.init cfg.Config.vcpus (fun id ->

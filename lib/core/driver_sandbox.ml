@@ -16,7 +16,6 @@
 let first_driver_key = 3
 
 type fault = Memory_escape of Hw.Addr.va | Priv_instruction of Hw.Priv.t
-[@@deriving show { with_path = false }]
 
 type t = {
   name : string;

@@ -8,14 +8,7 @@
     behind IPC. {!invoke} vs {!invoke_microkernel_style} quantifies
     the per-call saving. *)
 
-val first_driver_key : int
-(** PKS keys [first_driver_key ..] are recyclable driver domains; the
-    16-key limit bounds {e concurrently loaded} drivers only. *)
-
 type fault = Memory_escape of Hw.Addr.va | Priv_instruction of Hw.Priv.t
-
-val pp_fault : Format.formatter -> fault -> unit
-val show_fault : fault -> string
 
 type t = private {
   name : string;

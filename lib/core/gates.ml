@@ -16,11 +16,10 @@ type error =
   | Pkrs_tamper_detected  (** post-wrpkrs check failed: ROP abuse *)
   | Forgery_detected  (** gate entered without hardware PKRS switch *)
   | Not_kernel_mode
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 type t = {
   ksm : Ksm.t;
-  cfg : Config.t;
   clock : Hw.Clock.t;
   host_cr3 : Hw.Addr.pfn;
   host_pcid : int;
@@ -28,8 +27,8 @@ type t = {
   mutable tampers_blocked : int;
 }
 
-let create ~ksm ~cfg ~clock ~host_cr3 ~host_pcid =
-  { ksm; cfg; clock; host_cr3; host_pcid; forged_interrupts_blocked = 0; tampers_blocked = 0 }
+let create ~ksm ~clock ~host_cr3 ~host_pcid =
+  { ksm; clock; host_cr3; host_pcid; forged_interrupts_blocked = 0; tampers_blocked = 0 }
 
 (* The switch_pks macro of Figure 8a: write PKRS then verify the write
    took the intended value.  [tamper] simulates an attacker reaching

@@ -16,25 +16,16 @@ type error =
   | Forgery_detected  (** gate entered without the hardware PKRS switch *)
   | Not_kernel_mode
 
-val pp_error : Format.formatter -> error -> unit
 val show_error : error -> string
-val equal_error : error -> error -> bool
 
 type t
 
 val create :
   ksm:Ksm.t ->
-  cfg:Config.t ->
   clock:Hw.Clock.t ->
   host_cr3:Hw.Addr.pfn ->
   host_pcid:int ->
   t
-
-val switch_pks :
-  Hw.Cpu.t -> target:Hw.Pks.rights -> ?tamper:Hw.Pks.rights -> unit -> (unit, error) result
-(** The [switch_pks] macro of Figure 8a: write PKRS, then verify the
-    write took the intended value. [tamper] simulates an attacker
-    reaching the wrpkrs with a different register value. *)
 
 val ksm_call :
   t ->

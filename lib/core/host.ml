@@ -51,7 +51,6 @@ let create ?(policy = Scatter) ?(first_container = 1) (machine : Hw.Machine.t) =
 let machine t = t.machine
 let host_root t = t.host_root
 let host_pcid t = t.host_pcid
-let policy t = t.policy
 let set_policy t p = t.policy <- p
 
 let fresh_container_id t =

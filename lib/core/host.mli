@@ -14,10 +14,6 @@ type delegated = { base : Hw.Addr.pfn; frames : int; container : int }
     heavy container churn. *)
 type policy = First_fit | Scatter
 
-val scatter_min_chunk : int
-(** Smallest chunk scatter delegation will take (bounds a container's
-    zone count). *)
-
 type t
 
 val create : ?policy:policy -> ?first_container:int -> Hw.Machine.t -> t
@@ -28,7 +24,6 @@ val create : ?policy:policy -> ?first_container:int -> Hw.Machine.t -> t
 val machine : t -> Hw.Machine.t
 val host_root : t -> Hw.Addr.pfn
 val host_pcid : t -> int
-val policy : t -> policy
 val set_policy : t -> policy -> unit
 val fresh_container_id : t -> int
 
@@ -36,14 +31,6 @@ val delegate_segment : t -> container:int -> frames:int -> Hw.Addr.pfn * int
 (** First-fit contiguous hPA delegation — fragmentation-prone by
     design (the paper's acknowledged limitation).
     @raise Hw.Phys_mem.Out_of_memory when no sufficient run exists. *)
-
-val delegate_scatter : t -> container:int -> frames:int -> (Hw.Addr.pfn * int) list
-(** Scatter delegation: contiguous when a run exists (layout identical
-    to first-fit on an unfragmented host), otherwise split adaptively —
-    the attempted chunk halves on each contiguous failure down to
-    {!scatter_min_chunk}. Partial allocations are rolled back.
-    @raise Hw.Phys_mem.Out_of_memory when free runs of at least the
-    minimum chunk cannot cover the request. *)
 
 val delegate : t -> container:int -> frames:int -> (Hw.Addr.pfn * int) list
 (** Policy-dispatching delegation: one segment under [First_fit],

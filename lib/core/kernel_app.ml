@@ -18,7 +18,6 @@ let in_kernel_syscall_cost = 2.0 *. Hw.Cost.pks_switch (* = 63 ns *)
 
 type t = {
   backend : Virt.Backend.t;  (** the wrapped, in-kernel view *)
-  underlying : Virt.Backend.t;
   mutable syscalls_elided : int;
 }
 
@@ -43,7 +42,7 @@ let wrap_backend (b : Virt.Backend.t) : t =
   let backend =
     { b with Virt.Backend.label = b.Virt.Backend.label ^ "+inkernel"; kernel; platform }
   in
-  let t = { backend; underlying = b; syscalls_elided = 0 } in
+  let t = { backend; syscalls_elided = 0 } in
   t_ref := Some t;
   t
 

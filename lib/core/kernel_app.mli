@@ -3,9 +3,6 @@
     kernel, in its own PKS domain, so syscalls become ~63 ns gate
     transitions instead of hardware ring crossings. *)
 
-val in_kernel_syscall_cost : float
-(** Two PKS switches (63 ns). *)
-
 type t
 
 val wrap_backend : Virt.Backend.t -> t

@@ -21,12 +21,8 @@ type page_state =
   | Guest_data
   | Guest_ptp of int  (** declared PTP at level 1..4 *)
   | Ksm_private
-[@@deriving show { with_path = false }, eq]
 
-type desc = {
-  mutable state : page_state;
-  mutable ptp_map_count : int;  (** times mapped while a declared PTP *)
-}
+type desc = { mutable state : page_state }
 
 type root_info = { copies : Hw.Addr.pfn array (* per vCPU *) }
 
@@ -66,7 +62,7 @@ let desc t pfn =
   match Hashtbl.find_opt t.descs pfn with
   | Some d -> d
   | None ->
-      let d = { state = Guest_data; ptp_map_count = 0 } in
+      let d = { state = Guest_data } in
       Hashtbl.replace t.descs pfn d;
       d
 
@@ -288,7 +284,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
      frame kinds match what the imported trees reference. *)
   List.iter
     (fun (pfn, lvl) ->
-      Hashtbl.replace t.descs pfn { state = Guest_ptp lvl; ptp_map_count = 0 };
+      Hashtbl.replace t.descs pfn { state = Guest_ptp lvl };
       Hw.Phys_mem.set_kind mem pfn (Hw.Phys_mem.Page_table lvl))
     imp.i_ptps;
   List.iter
@@ -388,7 +384,6 @@ let undeclare_ptp t ~pfn : (unit, error) result =
     | Guest_data | Ksm_private -> Error (Not_declared pfn)
     | Guest_ptp _ ->
         d.state <- Guest_data;
-        d.ptp_map_count <- 0;
         Hw.Phys_mem.set_kind t.mem pfn Hw.Phys_mem.Data;
         retag_direct_map t pfn ~pkey:Hw.Pks.pkey_guest;
         Ok ()
@@ -447,7 +442,6 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
                     match d.state with
                     | Guest_data ->
                         d.state <- Guest_ptp (lvl - 1);
-                        d.ptp_map_count <- 1;
                         Hw.Phys_mem.set_kind t.mem new_ptp (Hw.Phys_mem.Page_table (lvl - 1));
                         Hw.Phys_mem.clear_table t.mem new_ptp;
                         retag_direct_map t new_ptp ~pkey:Hw.Pks.pkey_ptp;

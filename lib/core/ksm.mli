@@ -23,10 +23,6 @@
 
 type page_state = Guest_data | Guest_ptp of int | Ksm_private
 
-val pp_page_state : Format.formatter -> page_state -> unit
-val show_page_state : page_state -> string
-val equal_page_state : page_state -> page_state -> bool
-
 type error =
   | Not_guest_frame of Hw.Addr.pfn
   | Already_declared of Hw.Addr.pfn
@@ -40,7 +36,6 @@ type error =
   | Reserved_range of Hw.Addr.va
   | Bad_vcpu of int
 
-val pp_error : Format.formatter -> error -> unit
 val show_error : error -> string
 
 type t
@@ -101,9 +96,6 @@ val declare_ptp : t -> pfn:Hw.Addr.pfn -> level:int -> (unit, error) result
     direct-map PTE is re-tagged pkey_ptp). *)
 
 val undeclare_ptp : t -> pfn:Hw.Addr.pfn -> (unit, error) result
-
-val check_leaf : t -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> flags:Hw.Pte.flags -> (unit, error) result
-(** Validate a prospective leaf mapping (exposed for tests). *)
 
 val guest_map :
   t ->

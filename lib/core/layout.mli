@@ -8,9 +8,6 @@
 
 val user_top : Hw.Addr.va
 
-val direct_map_base : Hw.Addr.va
-(** Guest-kernel direct map: [va = direct_map_base + pa]. *)
-
 val kernel_image_base : Hw.Addr.va
 (** Guest kernel code/rodata — kernel-executable, frozen at boot. *)
 
@@ -31,7 +28,6 @@ val in_direct_map : Hw.Addr.va -> bool
 val in_ksm : Hw.Addr.va -> bool
 val in_pervcpu : Hw.Addr.va -> bool
 
-val l4_index : Hw.Addr.va -> int
 val l4_user_max : int
 val l4_direct : int
 val l4_kernel_image : int

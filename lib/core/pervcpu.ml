@@ -20,7 +20,6 @@ and exit_reason =
   | Exit_hypercall of Kernel_model.Platform.io_kind
   | Exit_interrupt of int
   | Exit_fault of string
-[@@deriving show { with_path = false }]
 
 type t = { areas : area array }
 

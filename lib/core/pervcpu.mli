@@ -21,9 +21,6 @@ and exit_reason =
   | Exit_interrupt of int
   | Exit_fault of string
 
-val pp_exit_reason : Format.formatter -> exit_reason -> unit
-val show_exit_reason : exit_reason -> string
-
 type t
 
 val create : Hw.Phys_mem.t -> container_id:int -> vcpus:int -> t

@@ -168,4 +168,3 @@ let run ?(after_slice = fun () -> ()) t ~slices =
 
 let preemptions t = t.preemptions
 let throttle_events t = t.throttle_events
-let entries t = t.entries

@@ -46,12 +46,6 @@ val throttled : t -> vcpu_entry -> bool
 (** Whether the entry's budget is exhausted in the current window
     (refreshes the window first). *)
 
-val run_slice : t -> vcpu_entry -> unit
-(** One timeslice: virtual-interrupt injection, guest work (or spin),
-    timer preemption through the interrupt gate.  Consumed runtime is
-    charged against the entry's quota; direct callers bypass the
-    throttle check. *)
-
 val run : ?after_slice:(unit -> unit) -> t -> slices:int -> unit
 (** Round-robin for a total number of timeslices. [after_slice] runs in
     host context between slices — the I/O plane's device-service window
@@ -64,5 +58,3 @@ val preemptions : t -> int
 
 val throttle_events : t -> int
 (** Total throttled skips across all entries. *)
-
-val entries : t -> vcpu_entry list

@@ -43,8 +43,6 @@ type t = {
   mutable calm_streak : int;
   mutable windows : int;
   mutable breaches : int;
-  mutable scale_outs : int;
-  mutable scale_ins : int;
 }
 
 let create ?(now = 0.0) cfg =
@@ -62,8 +60,6 @@ let create ?(now = 0.0) cfg =
     calm_streak = 0;
     windows = 0;
     breaches = 0;
-    scale_outs = 0;
-    scale_ins = 0;
   }
 
 let observe t ~latency_us =
@@ -82,7 +78,6 @@ let decide t ~now ~replicas =
       t.breaches <- t.breaches + 1;
       t.calm_streak <- 0;
       if cooled && replicas < t.cfg.max_replicas then begin
-        t.scale_outs <- t.scale_outs + 1;
         t.last_action_ns <- now;
         Scale_out
       end
@@ -93,7 +88,6 @@ let decide t ~now ~replicas =
         t.calm_streak <- t.calm_streak + 1
       else t.calm_streak <- 0;
       if t.calm_streak >= t.cfg.idle_windows && cooled && replicas > t.cfg.min_replicas then begin
-        t.scale_ins <- t.scale_ins + 1;
         t.calm_streak <- 0;
         t.last_action_ns <- now;
         Scale_in
@@ -104,5 +98,3 @@ let decide t ~now ~replicas =
 
 let windows t = t.windows
 let breaches t = t.breaches
-let scale_outs t = t.scale_outs
-let scale_ins t = t.scale_ins

@@ -20,7 +20,6 @@ val default_config : config
 type decision = Hold | Scale_out | Scale_in
 
 val pp_decision : Format.formatter -> decision -> unit
-val show_decision : decision -> string
 val equal_decision : decision -> decision -> bool
 
 type t
@@ -40,5 +39,3 @@ val decide : t -> now:float -> replicas:int -> decision
 
 val windows : t -> int
 val breaches : t -> int
-val scale_outs : t -> int
-val scale_ins : t -> int

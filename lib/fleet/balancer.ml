@@ -8,7 +8,7 @@
    pick sequence on every run (the controller's determinism across
    domain counts rests on this). *)
 
-type policy = Round_robin | Pick2_least_loaded [@@deriving show { with_path = false }, eq]
+type policy = Round_robin | Pick2_least_loaded
 
 type t = {
   policy : policy;
@@ -47,4 +47,3 @@ let pick t ~load ~n =
       end
 
 let picks t = t.picks
-let policy t = t.policy

@@ -4,10 +4,6 @@
 
 type policy = Round_robin | Pick2_least_loaded
 
-val pp_policy : Format.formatter -> policy -> unit
-val show_policy : policy -> string
-val equal_policy : policy -> policy -> bool
-
 type t
 
 val create : ?seed:int -> policy -> t
@@ -18,4 +14,3 @@ val pick : t -> load:(int -> int) -> n:int -> int
     @raise Invalid_argument when [n < 1]. *)
 
 val picks : t -> int
-val policy : t -> policy

@@ -21,15 +21,7 @@ type vpn = int
 (** A virtual page number ([va lsr page_shift]). *)
 
 let equal_va (a : va) b = a = b
-let equal_pa (a : pa) b = a = b
-let equal_pfn (a : pfn) b = a = b
-let equal_vpn (a : vpn) b = a = b
-let show_va (a : va) = Printf.sprintf "0x%x" a
-let show_pa (a : pa) = Printf.sprintf "0x%x" a
-let show_pfn (a : pfn) = string_of_int a
-let show_vpn (a : vpn) = string_of_int a
 let pp_pfn fmt (a : pfn) = Format.pp_print_int fmt a
-let pp_vpn fmt (a : vpn) = Format.pp_print_int fmt a
 
 let page_align_down a = a land lnot (page_size - 1)
 let page_align_up a = page_align_down (a + page_size - 1)
@@ -50,4 +42,3 @@ let index_at_level ~lvl va =
 let pages_of_bytes bytes = (bytes + page_size - 1) / page_size
 
 let pp_va fmt va = Format.fprintf fmt "0x%x" va
-let pp_pa fmt pa = Format.fprintf fmt "0x%x" pa

@@ -25,15 +25,7 @@ type vpn = int
 (** A virtual page number ([va lsr page_shift]). *)
 
 val equal_va : va -> va -> bool
-val equal_pa : pa -> pa -> bool
-val equal_pfn : pfn -> pfn -> bool
-val equal_vpn : vpn -> vpn -> bool
-val show_va : va -> string
-val show_pa : pa -> string
-val show_pfn : pfn -> string
-val show_vpn : vpn -> string
 val pp_pfn : Format.formatter -> pfn -> unit
-val pp_vpn : Format.formatter -> vpn -> unit
 
 val page_align_down : int -> int
 (** Round down to a page boundary. *)
@@ -58,4 +50,3 @@ val pages_of_bytes : int -> int
 (** Number of 4 KiB pages needed to back a byte count. *)
 
 val pp_va : Format.formatter -> va -> unit
-val pp_pa : Format.formatter -> pa -> unit

@@ -102,9 +102,6 @@ val virtio_backend_service : float
 val virtio_frontend_work : float
 (** Guest-side doorbell/notify work (MMIO exit for HVM). *)
 
-val net_packet : float
-(** Network wire+stack time for a small packet, one direction. *)
-
 val doorbell_write : float
 (** The uncached doorbell register store itself. *)
 

@@ -10,7 +10,7 @@
        the IDT entry requests it; the extended `iret` restores it
        (Section 4.4). *)
 
-type mode = User | Kernel [@@deriving show { with_path = false }, eq]
+type mode = User | Kernel [@@deriving eq]
 
 type fault =
   | Blocked_instruction of Priv.t  (** PKS extension E2 trap *)
@@ -91,8 +91,6 @@ let set_tcache t on =
   t.tc_enabled <- on;
   if not on then Array.fill t.tc_key 0 tc_size 0
 
-let tcache_enabled t = t.tc_enabled
-
 let create ?(id = 0) ?(tlb_capacity = 1536) clock =
   let t =
     {
@@ -117,8 +115,6 @@ let create ?(id = 0) ?(tlb_capacity = 1536) clock =
   in
   Tlb.set_invalidate_hook t.tlb (fun pcid vpn -> tc_invalidate t pcid vpn);
   t
-
-let in_guest_kernel t = t.mode = Kernel && t.pkrs <> Pks.all_access
 
 let id_cr3_switch = Clock.intern "cr3_switch"
 let id_invlpg = Clock.intern "invlpg"
@@ -355,8 +351,3 @@ let hw_interrupt_entry t ~pks_switch =
   end;
   t.mode <- Kernel;
   t.if_flag <- false
-
-let pp fmt t =
-  Format.fprintf fmt "cpu%d mode=%s cr3=%d pcid=%d pkrs=%#x if=%b" t.id
-    (match t.mode with User -> "U" | Kernel -> "K")
-    t.cr3 t.pcid t.pkrs t.if_flag

@@ -10,8 +10,6 @@
 
 type mode = User | Kernel
 
-val pp_mode : Format.formatter -> mode -> unit
-val show_mode : mode -> string
 val equal_mode : mode -> mode -> bool
 
 type fault =
@@ -24,7 +22,6 @@ type fault =
   | Nx_violation of Addr.va
   | Not_present of Addr.va
 
-val pp_fault : Format.formatter -> fault -> unit
 val show_fault : fault -> string
 
 exception Fault of fault
@@ -60,11 +57,6 @@ val set_tcache : t -> bool -> unit
     scores the same hit statistics, so disabling it changes raw speed
     only. Disabling clears the cache. *)
 
-val tcache_enabled : t -> bool
-
-val in_guest_kernel : t -> bool
-(** Kernel mode with non-zero PKRS: a deprivileged guest kernel. *)
-
 val load_cr3 : t -> root:Addr.pfn -> pcid:int -> unit
 (** Load CR3 (+PCID) without flushing other PCIDs' TLB entries; charges
     the CR3-switch cost. *)
@@ -75,10 +67,6 @@ val exec_priv : t -> Priv.t -> (unit, fault) result
     iret/E4, cli/sti, hlt, invlpg...). *)
 
 val exec_priv_exn : t -> Priv.t -> unit
-
-val check_pte : t -> va:Addr.va -> access:Pks.access -> exec:bool -> Pte.t -> fault option
-(** Check one leaf PTE against the CPU's mode and protection-key
-    rights. *)
 
 val access :
   t ->
@@ -99,5 +87,3 @@ val syscall_entry : t -> unit
 val hw_interrupt_entry : t -> pks_switch:bool -> unit
 (** Hardware-interrupt arrival (extension E4): saves PKRS and zeroes it
     when the vectoring IDT entry carries the attribute. *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,7 @@ type t = {
   mem : Phys_mem.t;
   pt : Page_table.t;
   mutable violations : int;
-  mutable huge : bool;  (** back gPAs with 2 MiB EPT mappings *)
+  huge : bool;  (** back gPAs with 2 MiB EPT mappings *)
 }
 
 exception Ept_violation of { gpa : Addr.pa }

@@ -18,8 +18,6 @@ type entry = {
 
 type t
 
-val vectors : int
-
 val create : unit -> t
 
 val set : t -> entry -> unit

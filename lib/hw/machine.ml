@@ -1,11 +1,10 @@
-(* The physical machine: memory, CPUs, the interrupt fabric, and the
-   simulated clock that every component charges. *)
+(* The physical machine: memory, the interrupt fabric over its CPUs,
+   and the simulated clock that every component charges. *)
 
 type t = {
   mem : Phys_mem.t;
-  cpus : Cpu.t array;
+  cpus : int;  (** CPUs the interrupt fabric can target *)
   clock : Clock.t;
-  idt : Idt.t;  (** host IDT (containers get their own, KSM-resident) *)
   mutable pending_irqs : (int * int) list;  (** (cpu, vector) fifo, newest last *)
   mutable next_pcid : int;
 }
@@ -14,17 +13,14 @@ let create ?(cpus = 4) ?(mem_mib = 512) () =
   let clock = Clock.create () in
   {
     mem = Phys_mem.create ~frames:(mem_mib * 256);
-    cpus = Array.init cpus (fun id -> Cpu.create ~id clock);
+    cpus;
     clock;
-    idt = Idt.create ();
     pending_irqs = [];
     next_pcid = 1;
   }
 
 let mem t = t.mem
 let clock t = t.clock
-let cpu t i = t.cpus.(i)
-let num_cpus t = Array.length t.cpus
 
 (* Allocate a fresh PCID; each secure container and the host kernel get
    distinct PCIDs so invlpg is confined (Section 4.1). *)
@@ -33,7 +29,9 @@ let fresh_pcid t =
   t.next_pcid <- p + 1;
   p
 
-let raise_irq t ~cpu ~vector = t.pending_irqs <- t.pending_irqs @ [ (cpu, vector) ]
+let raise_irq t ~cpu ~vector =
+  if cpu < 0 || cpu >= t.cpus then invalid_arg "Machine.raise_irq: no such cpu";
+  t.pending_irqs <- t.pending_irqs @ [ (cpu, vector) ]
 
 let take_irq t ~cpu =
   let rec split acc = function

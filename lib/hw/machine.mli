@@ -1,5 +1,5 @@
-(** The physical machine: memory, CPUs, the interrupt fabric, and the
-    simulated clock every component charges. *)
+(** The physical machine: memory, the interrupt fabric over its CPUs,
+    and the simulated clock every component charges. *)
 
 type t
 
@@ -8,13 +8,12 @@ val create : ?cpus:int -> ?mem_mib:int -> unit -> t
 
 val mem : t -> Phys_mem.t
 val clock : t -> Clock.t
-val cpu : t -> int -> Cpu.t
-val num_cpus : t -> int
 
 val fresh_pcid : t -> int
 (** Allocate a fresh PCID; each secure container and the host kernel
     get distinct PCIDs so [invlpg] is confined (Section 4.1). *)
 
 val raise_irq : t -> cpu:int -> vector:int -> unit
+(** @raise Invalid_argument for a CPU the machine does not have. *)
 val take_irq : t -> cpu:int -> int option
 val has_pending : t -> cpu:int -> bool

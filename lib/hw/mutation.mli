@@ -30,9 +30,6 @@ val knobs : knobs
 (** The singleton consulted by enforcement sites. All defaults encode
     the paper's behaviour. *)
 
-val reset : unit -> unit
-(** Restore every knob to its default (full enforcement). *)
-
 val pristine : unit -> bool
 (** [true] iff every knob is at its default. Tests assert this so a
     leaked mutant cannot silently weaken the rest of the suite. *)

@@ -39,7 +39,7 @@ type kind =
   | Ksm_data
   | Kernel_code
   | Device
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 (* Packed encodings: [Free] must map to 0 so a zeroed array means
    "all free". *)

@@ -18,7 +18,6 @@ type owner =
   | Container of int  (** delegated to container [id] *)
   | Ksm of int  (** KSM code/data of container [id] *)
 
-val pp_owner : Format.formatter -> owner -> unit
 val show_owner : owner -> string
 val equal_owner : owner -> owner -> bool
 
@@ -32,9 +31,7 @@ type kind =
   | Kernel_code
   | Device
 
-val pp_kind : Format.formatter -> kind -> unit
 val show_kind : kind -> string
-val equal_kind : kind -> kind -> bool
 
 type t
 

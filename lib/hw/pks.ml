@@ -8,7 +8,7 @@
    pages.  Key 0 with rights 0 is the "all access" state the KSM runs
    with; CKI's guest kernels run with PKRS = [pkrs_guest]. *)
 
-type perm = Read_write | Read_only | No_access [@@deriving show { with_path = false }, eq]
+type perm = Read_write | Read_only | No_access
 
 let num_keys = 16
 
@@ -17,7 +17,6 @@ type rights = int
 
 let pp_rights fmt (r : rights) = Format.fprintf fmt "%#x" r
 let equal_rights (a : rights) b = a = b
-let show_rights (r : rights) = Printf.sprintf "%#x" r
 
 let all_access : rights = 0
 
@@ -40,7 +39,7 @@ let perm_of (r : rights) ~key =
   let bits = (r lsr (2 * key)) land 3 in
   if bits land 1 <> 0 then No_access else if bits land 2 <> 0 then Read_only else Read_write
 
-type access = Read | Write [@@deriving show { with_path = false }, eq]
+type access = Read | Write [@@deriving show { with_path = false }]
 
 (* Does [r] allow [access] on a page tagged with [key]? *)
 let allows (r : rights) ~key access =

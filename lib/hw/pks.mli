@@ -8,10 +8,6 @@
 
 type perm = Read_write | Read_only | No_access
 
-val pp_perm : Format.formatter -> perm -> unit
-val show_perm : perm -> string
-val equal_perm : perm -> perm -> bool
-
 val num_keys : int
 (** 16. *)
 
@@ -20,7 +16,6 @@ type rights = int
 
 val pp_rights : Format.formatter -> rights -> unit
 val equal_rights : rights -> rights -> bool
-val show_rights : rights -> string
 
 val all_access : rights
 (** Rights value 0: every domain fully accessible. *)
@@ -34,8 +29,6 @@ val perm_of : rights -> key:int -> perm
 type access = Read | Write
 
 val pp_access : Format.formatter -> access -> unit
-val show_access : access -> string
-val equal_access : access -> access -> bool
 
 val allows : rights -> key:int -> access -> bool
 (** Does the register allow [access] on a page tagged [key]? *)

@@ -50,7 +50,7 @@ type category =
   | Syscall_exception
   | Other_privileged
   | Pkrs_register
-[@@deriving show { with_path = false }, eq]
+[@@deriving show { with_path = false }]
 
 let category = function
   | Lidt | Sidt | Lgdt | Ltr -> System_registers

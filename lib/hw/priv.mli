@@ -35,7 +35,6 @@ type t =
   | Rdpkrs
 
 val pp : Format.formatter -> t -> unit
-val show : t -> string
 val equal : t -> t -> bool
 
 type category =
@@ -47,9 +46,7 @@ type category =
   | Other_privileged
   | Pkrs_register
 
-val pp_category : Format.formatter -> category -> unit
 val show_category : category -> string
-val equal_category : category -> category -> bool
 val category : t -> category
 
 val blocked_in_guest : t -> bool

@@ -4,15 +4,11 @@
    analysis library installs a sink around a scenario and lints the
    stream afterwards.
 
-   Two sink shapes exist:
-
-   - [Fn]: a callback receiving boxed [event] values (fault-injection
-     tests, ad-hoc recorders, and the bench's pre-overhaul-equivalent
-     configuration);
-   - [Ring]: a flat preallocated ring of int-encoded event words.  An
-     emit through one of the specialized [emit_*] entry points costs a
-     handful of array stores — no allocation, no closure call — and the
-     ring is decoded back into [event] values lazily at lint time.
+   The one sink shape is a [Ring]: a flat preallocated ring of
+   int-encoded event words.  An emit through one of the specialized
+   [emit_*] entry points costs a handful of array stores — no
+   allocation, no closure call — and the ring is decoded back into
+   [event] values lazily at lint time.
 
    The installed sink is *per-domain* state held in domain-local
    storage: each domain of the sharded engine records into its own
@@ -66,54 +62,6 @@ type event =
   | Domain_spawn of { parent : int; child : int }
   | Domain_join of { parent : int; child : int }
 
-let pp_event fmt = function
-  | Priv_exec { cpu; mnemonic; destructive; pkrs; blocked } ->
-      Format.fprintf fmt "cpu%d priv %s%s pkrs=%#x %s" cpu mnemonic
-        (if destructive then " (destructive)" else "")
-        pkrs
-        (if blocked then "blocked" else "executed")
-  | Wrpkrs { cpu; value } -> Format.fprintf fmt "cpu%d wrpkrs %#x" cpu value
-  | Sysret { cpu; pkrs; if_after } ->
-      Format.fprintf fmt "cpu%d sysret pkrs=%#x if=%b" cpu pkrs if_after
-  | Iret { cpu; pkrs_before; pkrs_after } ->
-      Format.fprintf fmt "cpu%d iret pkrs %#x -> %#x" cpu pkrs_before pkrs_after
-  | Gate_enter { cpu; gate; pkrs } ->
-      Format.fprintf fmt "cpu%d enter %s gate pkrs=%#x" cpu (gate_name gate) pkrs
-  | Gate_exit { cpu; gate; entry_pkrs; pkrs } ->
-      Format.fprintf fmt "cpu%d exit %s gate pkrs %#x -> %#x" cpu (gate_name gate) entry_pkrs pkrs
-  | Idt_deliver { cpu; vector; hardware; pks_switch; pkrs_before; pkrs_after } ->
-      Format.fprintf fmt "cpu%d idt vec=%d %s pks_switch=%b pkrs %#x -> %#x" cpu vector
-        (if hardware then "hw" else "sw")
-        pks_switch pkrs_before pkrs_after
-  | Tlb_fill { cpu; pcid; vpn; level; pfn } ->
-      Format.fprintf fmt "cpu%d tlb fill pcid=%d vpn=%#x lvl=%d pfn=%d" cpu pcid vpn level pfn
-  | Tlb_invlpg { cpu; pcid; vpn } ->
-      Format.fprintf fmt "cpu%d invlpg pcid=%d vpn=%#x" cpu pcid vpn
-  | Tlb_flush_pcid { cpu; pcid } -> Format.fprintf fmt "cpu%d tlb flush pcid=%d" cpu pcid
-  | Cr3_load { cpu; pcid; root } ->
-      Format.fprintf fmt "cpu%d cr3 load root=%d pcid=%d" cpu root pcid
-  | Pks_denied { key; write } ->
-      Format.fprintf fmt "pks denied key=%d %s" key (if write then "write" else "read")
-  | Ksm_op { container; op; ok } ->
-      Format.fprintf fmt "ksm[%d] %s %s" container op (if ok then "ok" else "rejected")
-  | Pte_downgrade { container; root; vpn; unmapped } ->
-      Format.fprintf fmt "ksm[%d] pte %s root=%d vpn=%#x" container
-        (if unmapped then "unmap" else "write-protect")
-        root vpn
-  | Container_boot { container; pcid } ->
-      Format.fprintf fmt "container %d boots with pcid=%d" container pcid
-  | Mm_op { op; vpn; pages } -> Format.fprintf fmt "mm %s vpn=%#x pages=%d" op vpn pages
-  | Io_doorbell { queue; avail_idx; in_flight } ->
-      Format.fprintf fmt "io %s doorbell avail=%d in_flight=%d" queue avail_idx in_flight
-  | Io_completion { queue; used_idx; serviced } ->
-      Format.fprintf fmt "io %s completion used=%d serviced=%d" queue used_idx serviced
-  | Mem_read { mem; pfn } -> Format.fprintf fmt "mem[%d] read pfn=%d" mem pfn
-  | Mem_write { mem; pfn } -> Format.fprintf fmt "mem[%d] write pfn=%d" mem pfn
-  | Domain_spawn { parent; child } -> Format.fprintf fmt "domain %d spawns %d" parent child
-  | Domain_join { parent; child } -> Format.fprintf fmt "domain %d joins %d" parent child
-
-let show_event e = Format.asprintf "%a" pp_event e
-
 (* ------------------------------------------------------------------ *)
 (* Int-encoded event rings                                             *)
 (* ------------------------------------------------------------------ *)
@@ -156,14 +104,8 @@ let ring_create ?(capacity = 65536) () =
     last_id = -1;
   }
 
-let ring_capacity r = r.capacity
 let ring_length r = r.len
 let ring_dropped r = r.dropped
-
-let ring_clear r =
-  r.head <- 0;
-  r.len <- 0;
-  r.dropped <- 0
 
 let intern_slow r s =
   match Hashtbl.find_opt r.intern s with
@@ -364,11 +306,6 @@ let decode_dom r i = r.buf.(offset r i + 7)
 let ring_events r = List.init r.len (decode r)
 let ring_events_tagged r = List.init r.len (fun i -> (decode_dom r i, decode r i))
 
-let ring_iter r g =
-  for i = 0 to r.len - 1 do
-    g (decode r i)
-  done
-
 let ring_iter_tagged r g =
   for i = 0 to r.len - 1 do
     g (decode_dom r i) (decode r i)
@@ -378,7 +315,7 @@ let ring_iter_tagged r g =
 (* Per-domain sinks                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type sink = Off | Fn of (event -> unit) | Ring of ring
+type sink = Off | Ring of ring
 
 (* Each domain owns its sink: the sharded engine gives every worker
    domain its own ring, and a recorder attached on one domain never
@@ -394,11 +331,11 @@ let sink_key : slot Domain.DLS.key =
 let current () = Domain.DLS.get sink_key
 let self_dom () = (current ()).dom
 
-let active () = match (current ()).sink with Off -> false | Fn _ | Ring _ -> true
+let active () = match (current ()).sink with Off -> false | Ring _ -> true
 
 let emit ev =
   let st = current () in
-  match st.sink with Off -> () | Fn f -> f ev | Ring r -> ring_record_tagged r ~dom:st.dom ev
+  match st.sink with Off -> () | Ring r -> ring_record_tagged r ~dom:st.dom ev
 
 (* Replay path: deliver [ev] to the calling domain's sink but tag it
    as having been emitted by domain [dom] — merging a worker ring into
@@ -407,11 +344,9 @@ let emit ev =
 let emit_tagged ~dom ev =
   match (current ()).sink with
   | Off -> ()
-  | Fn f -> f ev
   | Ring r -> ring_record_tagged r ~dom ev
 
 let ring_record r ev = ring_record_tagged r ~dom:(self_dom ()) ev
-let set_sink f = (current ()).sink <- Fn f
 let set_ring r = (current ()).sink <- Ring r
 let clear_sink () = (current ()).sink <- Off
 
@@ -444,39 +379,34 @@ let mem_trace () = Atomic.get mem_trace_flag
 
 (* The engine's steady-state emit sites: with a ring sink installed
    these are a tag dispatch plus a handful of int stores — no event
-   boxing, no closure call.  The [Fn] arm boxes, matching [emit]. *)
+   boxing, no closure call. *)
 
 let emit_tlb_fill ~cpu ~pcid ~vpn ~level ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store6 r st.dom tag_tlb_fill cpu pcid vpn level pfn
-  | Fn f -> f (Tlb_fill { cpu; pcid; vpn; level; pfn })
 
 let emit_io_doorbell ~queue ~avail_idx ~in_flight =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_io_doorbell (intern r queue) avail_idx in_flight
-  | Fn f -> f (Io_doorbell { queue; avail_idx; in_flight })
 
 let emit_io_completion ~queue ~used_idx ~serviced =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_io_completion (intern r queue) used_idx serviced
-  | Fn f -> f (Io_completion { queue; used_idx; serviced })
 
 let emit_mem_read ~mem ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_mem_read mem pfn 0
-  | Fn f -> f (Mem_read { mem; pfn })
 
 let emit_mem_write ~mem ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_mem_write mem pfn 0
-  | Fn f -> f (Mem_write { mem; pfn })

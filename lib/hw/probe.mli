@@ -75,9 +75,6 @@ type event =
       (** happens-before edge: everything [child] did is ordered
           before everything [parent] does after this event *)
 
-val pp_event : Format.formatter -> event -> unit
-val show_event : event -> string
-
 (** {1 Int-encoded event rings}
 
     A flat preallocated ring of fixed-stride int-encoded event words:
@@ -92,22 +89,15 @@ type ring
 val ring_create : ?capacity:int -> unit -> ring
 (** Default capacity 65536 events. *)
 
-val ring_capacity : ring -> int
 val ring_length : ring -> int
 
 val ring_dropped : ring -> int
 (** Records lost to overflow. *)
 
-val ring_clear : ring -> unit
-
 val ring_record : ring -> event -> unit
 (** Encode one boxed event into the ring, tagged with the calling
     domain's id (generic path; also the injection point for
     fault-injection tests). *)
-
-val ring_record_tagged : ring -> dom:int -> event -> unit
-(** Like {!ring_record} but with an explicit domain tag — the replay
-    path for merging worker rings without losing ownership. *)
 
 val ring_events : ring -> event list
 (** Decode the live records, oldest first. *)
@@ -116,13 +106,9 @@ val ring_events_tagged : ring -> (int * event) list
 (** Like {!ring_events}, each event paired with the id of the domain
     that emitted it. *)
 
-val ring_iter : ring -> (event -> unit) -> unit
-(** Decode and visit the live records, oldest first, without
-    materializing the list. *)
-
 val ring_iter_tagged : ring -> (int -> event -> unit) -> unit
-(** Like {!ring_iter} with the emitting domain's id as first
-    argument. *)
+(** Apply a function to each recorded event, oldest first, with the
+    emitting domain's id as first argument. *)
 
 (** {1 Per-domain sinks}
 
@@ -146,10 +132,6 @@ val emit_tagged : dom:int -> event -> unit
 (** Deliver [ev] to the calling domain's sink, tagged as having been
     emitted by domain [dom].  Used when replaying a worker ring into
     the parent's sink: the merged stream keeps the original owners. *)
-
-val set_sink : (event -> unit) -> unit
-(** Install a callback sink (boxed events) on the calling domain.
-    Replaces any previous sink. *)
 
 val set_ring : ring -> unit
 (** Install a ring sink on the calling domain. Replaces any previous

@@ -85,13 +85,3 @@ let with_writable e w = if w then set e b_writable else clear e b_writable
 let mark_accessed e = set e b_accessed
 let mark_dirty e = set e b_dirty
 let clear_accessed_dirty e = clear (clear e b_accessed) b_dirty
-
-let pp fmt e =
-  if not (is_present e) then Format.fprintf fmt "<not-present>"
-  else
-    Format.fprintf fmt "pfn=%d%s%s%s%s pkey=%d" (pfn e)
-      (if is_writable e then " W" else " RO")
-      (if is_user e then " U" else " K")
-      (if is_nx e then " NX" else "")
-      (if is_huge e then " 2M" else "")
-      (pkey e)

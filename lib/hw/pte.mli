@@ -51,4 +51,3 @@ val with_writable : t -> bool -> t
 val mark_accessed : t -> t
 val mark_dirty : t -> t
 val clear_accessed_dirty : t -> t
-val pp : Format.formatter -> t -> unit

@@ -107,11 +107,3 @@ let size t = Hashtbl.length t.table
 let entries_for t ~pcid = Hashtbl.fold (fun (p, _) _ n -> if p = pcid then n + 1 else n) t.table 0
 let hits t = t.hits
 let misses t = t.misses
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

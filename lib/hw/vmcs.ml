@@ -14,7 +14,6 @@ type exit_reason =
   | Hlt
   | Cr_access
   | Msr_access
-[@@deriving show { with_path = false }]
 
 type guest_state = {
   mutable cr3 : Addr.pfn;

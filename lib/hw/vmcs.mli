@@ -14,9 +14,6 @@ type exit_reason =
   | Cr_access
   | Msr_access
 
-val pp_exit_reason : Format.formatter -> exit_reason -> unit
-val show_exit_reason : exit_reason -> string
-
 type guest_state = {
   mutable cr3 : Addr.pfn;
   mutable rip : int;
@@ -33,7 +30,6 @@ type t = {
 }
 
 val create : id:int -> nested:bool -> t
-val reason_key : exit_reason -> string
 
 val vm_exit : t -> Clock.t -> exit_reason -> float
 (** Record an exit and charge its cost (nested pays the L0 tax);

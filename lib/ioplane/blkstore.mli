@@ -7,5 +7,3 @@ type t
 val create : unit -> t
 val write : t -> Bytes.t -> unit
 val writes : t -> int
-val bytes : t -> int
-val sectors : t -> int

@@ -27,7 +27,6 @@ type t = {
   blkstore : Blkstore.t;
   mutable attachments : attachment list;
   mutable service_passes : int;
-  mutable ticks : int;
 }
 
 let create clock =
@@ -36,7 +35,6 @@ let create clock =
     blkstore = Blkstore.create ();
     attachments = [];
     service_passes = 0;
-    ticks = 0;
   }
 
 let switch t = t.switch
@@ -108,7 +106,6 @@ let outstanding att =
 
 (* One event-loop iteration over the fleet. *)
 let tick t =
-  t.ticks <- t.ticks + 1;
   let progressed = ref 0 in
   List.iter
     (fun att ->
@@ -118,4 +115,3 @@ let tick t =
   !progressed
 
 let service_passes t = t.service_passes
-let ticks t = t.ticks

@@ -30,10 +30,6 @@ val attach : t -> Kernel_model.Kernel.t -> name:string -> attachment
 val detach : t -> attachment -> unit
 val set_rx_socket : attachment -> int -> unit
 
-val service : t -> attachment -> int
-(** One forced service pass (TX through the switch + blk into the
-    store); returns chains serviced. *)
-
 val pump : attachment -> int
 (** Deliver inbound frames queued at the port into the kernel's RX
     path; returns frames delivered. *)
@@ -43,4 +39,3 @@ val tick : t -> int
     outstanding); returns total progress (frames + chains). *)
 
 val service_passes : t -> int
-val ticks : t -> int

@@ -16,7 +16,6 @@
    controller (lib/fleet) attaches and detaches lanes dynamically. *)
 
 type workload = Kv_memcached | Kv_redis | Web_static | Web_httpd
-[@@deriving show { with_path = false }, eq]
 
 let workload_name = function
   | Kv_memcached -> "memcached"
@@ -80,7 +79,6 @@ module Lane = struct
     inflight : (float * (unit -> unit)) Queue.t;  (** delivered-but-unhandled *)
     awaiting : float Queue.t;  (** handled, reply in transit: arrival ts *)
     mutable sent : int;
-    mutable completed : int;
     mutable detached : bool;
   }
 
@@ -153,7 +151,6 @@ module Lane = struct
       inflight = Queue.create ();
       awaiting = Queue.create ();
       sent = 0;
-      completed = 0;
       detached = false;
     }
 
@@ -193,17 +190,13 @@ module Lane = struct
     for _ = 1 to replies do
       match Queue.take_opt t.awaiting with
       | None -> ()
-      | Some ts ->
-          t.completed <- t.completed + 1;
-          out := ts :: !out
+      | Some ts -> out := ts :: !out
     done;
     List.rev !out
 
   let inflight t = Queue.length t.inflight + Queue.length t.awaiting
   let sent t = t.sent
-  let completed t = t.completed
   let backend t = t.backend
-  let attachment t = t.att
 
   (* Unplug from the event loop and unlink both switch ports, so frames
      sent at a dead lane are counted as drops instead of queueing

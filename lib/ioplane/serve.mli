@@ -8,10 +8,6 @@
 
 type workload = Kv_memcached | Kv_redis | Web_static | Web_httpd
 
-val pp_workload : Format.formatter -> workload -> unit
-val show_workload : workload -> string
-val equal_workload : workload -> workload -> bool
-val workload_name : workload -> string
 val workload_of_string : string -> workload option
 
 (** One container's lane through the I/O plane: a backend wired to the
@@ -54,10 +50,7 @@ module Lane : sig
   val inflight : t -> int
   (** Requests sent but not yet reaped. *)
 
-  val sent : t -> int
-  val completed : t -> int
   val backend : t -> Virt.Backend.t
-  val attachment : t -> Loop.attachment
 
   val detach : t -> unit
   (** Unplug from the event loop and unlink both switch ports (frames

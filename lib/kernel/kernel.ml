@@ -73,7 +73,6 @@ let create platform =
     tx_stalls = 0;
   }
 
-let platform t = t.platform
 let clock t = t.platform.Platform.clock
 let fs t = t.fs
 let syscall_count t = t.syscall_count
@@ -192,7 +191,6 @@ let spawn t =
   let mm = Mm.create t.platform in
   let task = Task.create ~pid ~parent:0 mm in
   Hashtbl.replace t.tasks pid task;
-  Sched.enqueue t.sched pid;
   task
 
 let task t pid = Hashtbl.find_opt t.tasks pid
@@ -210,7 +208,6 @@ let set_next_pid t pid = t.next_pid <- pid
    captured pid. *)
 let restore_task t (task : Task.t) =
   Hashtbl.replace t.tasks task.Task.pid task;
-  Sched.enqueue t.sched task.Task.pid;
   if task.Task.pid >= t.next_pid then t.next_pid <- task.Task.pid + 1
 
 (* Touch user memory (demand paging) outside any syscall. *)
@@ -296,7 +293,6 @@ let do_fork t (task : Task.t) =
   Hashtbl.iter (fun fd obj -> Hashtbl.replace child.Task.fds fd obj) task.Task.fds;
   child.Task.next_fd <- task.Task.next_fd;
   Hashtbl.replace t.tasks pid child;
-  Sched.enqueue t.sched pid;
   pid
 
 let do_exit t (task : Task.t) code =

@@ -8,7 +8,6 @@
 type t
 
 val create : Platform.t -> t
-val platform : t -> Platform.t
 val clock : t -> Hw.Clock.t
 val fs : t -> Tmpfs.t
 val syscall_count : t -> int

@@ -8,8 +8,6 @@
 type t
 
 val user_mmap_base : Hw.Addr.va
-val user_brk_base : Hw.Addr.va
-val user_stack_top : Hw.Addr.va
 
 val create : Platform.t -> t
 (** Fresh address space with a default stack VMA. *)
@@ -102,10 +100,6 @@ val mprotect : t -> start:Hw.Addr.va -> pages:int -> prot:Vma.prot -> unit
 val brk : t -> delta_pages:int -> Hw.Addr.va
 
 exception Segfault of Hw.Addr.va
-
-val handle_fault : t -> Hw.Addr.va -> write:bool -> unit
-(** Demand fault: full platform fault path + frame allocation + PTE
-    install. @raise Segfault outside any (writable, for writes) VMA. *)
 
 val touch : t -> Hw.Addr.va -> write:bool -> unit
 (** Access the page containing an address, demand-faulting if needed. *)

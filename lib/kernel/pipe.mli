@@ -4,8 +4,6 @@
 type t
 
 val create : ?capacity:int -> Hw.Clock.t -> t
-val available : t -> int
-val room : t -> int
 
 val write : t -> Bytes.t -> (int, [ `Would_block | `Epipe ]) result
 (** Short writes when nearly full; [`Epipe] after the read end closes. *)

@@ -10,7 +10,6 @@
    falls out of which operations are expensive on which platform. *)
 
 type io_kind = Net_tx | Net_rx_ack | Blk_read | Blk_write | Timer | Ipi | Console
-[@@deriving show { with_path = false }, eq]
 
 type aspace = int
 (** Opaque address-space handle, interpreted by the backend. *)
@@ -99,7 +98,3 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
     mem;
     guest_frame = Fun.id;
   }
-
-(* Look up the simulated page table behind a bare aspace — only exposed
-   for tests; virtualized platforms keep theirs private. *)
-let charge t event ns = Hw.Clock.charge t.clock event ns

@@ -8,10 +8,6 @@
 
 type io_kind = Net_tx | Net_rx_ack | Blk_read | Blk_write | Timer | Ipi | Console
 
-val pp_io_kind : Format.formatter -> io_kind -> unit
-val show_io_kind : io_kind -> string
-val equal_io_kind : io_kind -> io_kind -> bool
-
 type aspace = int
 (** Opaque address-space handle, interpreted by the backend. *)
 
@@ -53,5 +49,3 @@ val id_syscall : int
 val bare : ?name:string -> Hw.Machine.t -> t
 (** Bare-hardware platform for the host kernel / RunC: direct paging,
     native syscalls, no hypercalls. *)
-
-val charge : t -> string -> float -> unit

@@ -1,6 +1,6 @@
 (* Task (process/thread) structures and file-descriptor tables. *)
 
-type state = Runnable | Running | Blocked | Zombie [@@deriving show { with_path = false }, eq]
+type state = Runnable | Running | Blocked | Zombie
 
 type file_desc = { inode : Tmpfs.inode; mutable pos : int }
 

@@ -2,10 +2,6 @@
 
 type state = Runnable | Running | Blocked | Zombie
 
-val pp_state : Format.formatter -> state -> unit
-val show_state : state -> string
-val equal_state : state -> state -> bool
-
 type file_desc = { inode : Tmpfs.inode; mutable pos : int }
 
 type fd_object =
@@ -31,6 +27,7 @@ val install_fd : t -> fd_object -> int
 val restore_fd : t -> fd:int -> fd_object -> unit
 (** Snapshot restore: re-install a descriptor at its captured number,
     keeping [next_fd] above every restored descriptor. *)
+
 val fd : t -> int -> fd_object option
 val close_fd : t -> int -> unit
 val fd_count : t -> int

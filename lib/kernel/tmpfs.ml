@@ -7,7 +7,7 @@
 
 type inode = {
   ino : int;
-  mutable kind : kind;
+  kind : kind;
   mutable nlink : int;
   mutable size : int;
 }

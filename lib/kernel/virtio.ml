@@ -132,11 +132,9 @@ let create ?(size = 64) ?(window = 1) ~name (p : Platform.t) =
   t
 
 let size t = t.size
-let window t = t.window
 let set_window t w = if w < 0 then invalid_arg "Virtio.set_window" else t.window <- w
 let in_flight t = t.avail_idx - t.last_avail_seen
 let unreclaimed t = t.n_heads
-let free_descs t = t.n_free
 
 (* ---------------- payload bytes <-> page words ---------------- *)
 
@@ -404,5 +402,3 @@ let interrupts t = t.interrupts
 let suppressed_interrupts t = t.suppressed_interrupts
 let serviced_total t = t.serviced_total
 let name t = t.name
-
-let ring_pages t = (t.desc_page :: t.avail_page :: t.used_page :: Array.to_list t.bufs)

@@ -22,7 +22,6 @@ val create : ?size:int -> ?window:int -> name:string -> Platform.t -> t
     EVENT_IDX batch window (default 1; 0 = naive, no suppression). *)
 
 val size : t -> int
-val window : t -> int
 val set_window : t -> int -> unit
 
 val in_flight : t -> int
@@ -31,8 +30,6 @@ val in_flight : t -> int
 val unreclaimed : t -> int
 (** Chains the guest has not freed yet (in flight + completed but not
     yet reclaimed) — the quiescence measure for snapshot capture. *)
-
-val free_descs : t -> int
 
 val post : t -> data:Bytes.t -> [ `Posted | `Full ]
 (** Guest: copy [data] into DMA buffers and publish a device-readable
@@ -76,7 +73,3 @@ val interrupts : t -> int
 val suppressed_interrupts : t -> int
 val serviced_total : t -> int
 val name : t -> string
-
-val ring_pages : t -> Hw.Addr.pfn list
-(** Every guest frame the queue owns (descriptor table, both rings,
-    payload buffers) in the allocator's pfn namespace. *)

@@ -2,14 +2,12 @@
 
 module Int_map = Map.Make (Int)
 
-type prot = { read : bool; write : bool; exec : bool } [@@deriving show { with_path = false }, eq]
+type prot = { read : bool; write : bool; exec : bool }
 
 let prot_rw = { read = true; write = true; exec = false }
 let prot_ro = { read = true; write = false; exec = false }
-let prot_rx = { read = true; write = false; exec = true }
 
 type backing = Anon | File of { inode : int; offset : int } | Stack | Heap
-[@@deriving show { with_path = false }, eq]
 
 type area = {
   start : Hw.Addr.va;  (** inclusive, page aligned *)

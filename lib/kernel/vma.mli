@@ -2,18 +2,10 @@
 
 type prot = { read : bool; write : bool; exec : bool }
 
-val pp_prot : Format.formatter -> prot -> unit
-val show_prot : prot -> string
-val equal_prot : prot -> prot -> bool
 val prot_rw : prot
 val prot_ro : prot
-val prot_rx : prot
 
 type backing = Anon | File of { inode : int; offset : int } | Stack | Heap
-
-val pp_backing : Format.formatter -> backing -> unit
-val show_backing : backing -> string
-val equal_backing : backing -> backing -> bool
 
 type area = {
   start : Hw.Addr.va;  (** inclusive, page aligned *)

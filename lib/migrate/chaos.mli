@@ -44,14 +44,9 @@ val dirt : app -> round:int -> writes:int -> unit
     [round], through {!Kernel_model.Mm.touch} — protected pages take
     the write-protect fault and land in the dirty log. *)
 
-val default_rate : float
-(** Pages dirtied per nanosecond of serving (4e-5 = 40 pages/ms):
-    below the link's per-page wire rate, so pre-copy converges. *)
-
 val work_of : ?rate:float -> app -> round:int -> budget_ns:float -> unit
 (** An {!Engine.migrate} [work] callback dirtying [rate * budget]
     pages per round. *)
 
-val run : ?leak_inject:bool -> scenario -> verdict
 val all : ?leak_inject:bool -> unit -> verdict list
 (** All three scenarios, each on a fresh fabric. *)

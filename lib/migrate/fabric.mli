@@ -40,16 +40,10 @@ type endpoint = {
 
 type t
 
-val default_link : link
-(** 1 GB/s, 20 us latency — a modest datacenter NIC. *)
+val create : ?mem_mib:int -> ?link:link -> hosts:int -> unit -> t
 
-val create : ?cpus:int -> ?mem_mib:int -> ?link:link -> hosts:int -> unit -> t
-
-val num_hosts : t -> int
-val node : t -> int -> node
 val host : t -> int -> Cki.Host.t
 val machine : t -> int -> Hw.Machine.t
-val switch : t -> int -> Ioplane.Switch.t
 val clock : t -> int -> Hw.Clock.t
 val alive : t -> int -> bool
 
@@ -58,18 +52,13 @@ val transfer : t -> src:int -> dst:int -> bytes:int -> (float, string) result
     clocks, or [Error] when either end is dead or the pair is
     partitioned. *)
 
-val transfer_ns : t -> bytes:int -> float
-(** Wire time a transfer of [bytes] would take (no side effects). *)
-
 val transferred_bytes : t -> int
-val transfer_count : t -> int
 
 val crash_host : t -> int -> unit
 val partition : t -> int -> int -> unit
 val heal : t -> int -> int -> unit
 
 val expose : t -> name:string -> home:int -> endpoint
-val endpoint : t -> string -> endpoint
 val endpoint_home : t -> string -> int
 val endpoint_port : t -> string -> Ioplane.Switch.port
 

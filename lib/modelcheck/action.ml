@@ -19,7 +19,6 @@ type t =
           the gate entry instead of hardware delivery (E4 forgery) *)
   | Deliver of { vector : int; software : bool }
       (** raw IDT vectoring, gate body left in flight *)
-[@@deriving eq]
 
 let show_tamper = function
   | None -> ""

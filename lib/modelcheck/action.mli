@@ -12,5 +12,4 @@ type t =
   | Deliver of { vector : int; software : bool }
       (** raw IDT vectoring, gate body left in flight *)
 
-val equal : t -> t -> bool
 val show : t -> string

@@ -6,9 +6,6 @@ val render : Explore.counterexample -> string
     path from the initial state, one numbered step per line with the
     resulting abstract state. *)
 
-val finding : Explore.counterexample -> Report.Findings.t
-val findings : Explore.result -> Report.Findings.t list
-
 val report : ?title:string -> Explore.result -> string
 (** Findings block (clean bill when empty) followed by one rendered
     counterexample per violated property. *)

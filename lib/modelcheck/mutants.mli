@@ -26,9 +26,6 @@ type verdict = {
 val as_expected : verdict -> bool
 (** Killed, and by one of the properties the mutant documents. *)
 
-val default_config : Transition.config
-(** Shallow single-vector configuration — kill depths are <= 2. *)
-
 val run_one : ?config:Transition.config -> t -> verdict
 (** Install the mutant (scoped — enforcement is restored even on
     exception), boot a fresh container, explore, judge. *)

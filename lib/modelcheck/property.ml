@@ -28,17 +28,6 @@ type id =
   | Forged_entry_ran
 [@@deriving eq]
 
-let all =
-  [
-    Guest_monitor_rights;
-    Destructive_executed;
-    Gate_pkrs_leak;
-    User_if_cleared;
-    Software_pks_switch;
-    E4_save_missing;
-    Forged_entry_ran;
-  ]
-
 let name = function
   | Guest_monitor_rights -> "P1-guest-monitor-rights"
   | Destructive_executed -> "P2-destructive-executed"
@@ -47,16 +36,6 @@ let name = function
   | Software_pks_switch -> "P5-software-pks-switch"
   | E4_save_missing -> "P6-e4-save-missing"
   | Forged_entry_ran -> "P7-forged-entry-ran"
-
-let describe = function
-  | Guest_monitor_rights ->
-      "outside any gate, kernel mode never holds monitor-capable PKRS"
-  | Destructive_executed -> "no Table-3-blocked instruction completes with PKRS != 0 (E2)"
-  | Gate_pkrs_leak -> "every gate traversal returns with its entry PKRS"
-  | User_if_cleared -> "ring 3 is never entered with IF=0 (E3)"
-  | Software_pks_switch -> "software vectoring never changes PKRS or the E4 stack"
-  | E4_save_missing -> "gate-entering delivery zeroes PKRS and saves the old value (E4)"
-  | Forged_entry_ran -> "a software jump to the gate entry never reaches the gate body"
 
 type violation = { property : id; vcpu : int; detail : string }
 

@@ -13,9 +13,7 @@ type id =
 
 val equal_id : id -> id -> bool
 
-val all : id list
 val name : id -> string
-val describe : id -> string
 
 type violation = { property : id; vcpu : int; detail : string }
 

@@ -15,7 +15,6 @@ type vcpu = {
 
 type t = { vcpus : vcpu array }
 
-val equal_vcpu : vcpu -> vcpu -> bool
 val equal : t -> t -> bool
 
 val hash : t -> int
@@ -33,5 +32,4 @@ val restore : t -> Hw.Cpu.t array -> unit
     transition executes from exactly this point. *)
 
 val show_pkrs : Hw.Pks.rights -> string
-val show_vcpu : vcpu -> string
 val show : t -> string

@@ -38,16 +38,6 @@ let default_config =
 
 type outcome = Completed | Trapped of string
 
-let equal_outcome a b =
-  match (a, b) with
-  | Completed, Completed -> true
-  | Trapped x, Trapped y -> String.equal x y
-  | _ -> false
-
-let show_outcome = function
-  | Completed -> "completed"
-  | Trapped r -> Printf.sprintf "trapped: %s" r
-
 type step = {
   outcome : outcome;
   gate_body_ran : bool;  (** did a gate body execute during this edge? *)

@@ -25,9 +25,6 @@ type outcome =
   | Completed
   | Trapped of string  (** faulted/rejected, with the reason *)
 
-val equal_outcome : outcome -> outcome -> bool
-val show_outcome : outcome -> string
-
 type step = {
   outcome : outcome;
   gate_body_ran : bool;  (** did a gate body execute during this edge? *)

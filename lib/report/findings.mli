@@ -4,8 +4,6 @@
 
 type severity = Critical | Warning | Info
 
-val severity_name : severity -> string
-
 type t = {
   severity : severity;
   rule : string;  (** short rule identifier, e.g. "I1-undeclared-ptp" *)

@@ -134,15 +134,16 @@ let parse s =
           | Some 'u' ->
               advance ();
               if !pos + 4 > n then error "truncated \\u escape";
-              let code =
-                try int_of_string ("0x" ^ String.sub s !pos 4)
-                with _ -> error "bad \\u escape"
-              in
+              let hex = String.sub s !pos 4 in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then error "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
               (* artifacts are ASCII; keep the low byte like the emitter *)
               Buffer.add_char buf (Char.chr (code land 0xFF));
               go ()
           | _ -> error "bad escape")
+      | Some c when Char.code c < 0x20 -> error "raw control character in string"
       | Some c ->
           Buffer.add_char buf c;
           advance ();
@@ -151,21 +152,42 @@ let parse s =
     go ();
     Buffer.contents buf
   in
+  (* The JSON number grammar: an optional minus, then 0 or a digit run
+     without a leading zero, an optional fraction of at least one digit
+     and an optional exponent of at least one digit.  An integer token
+     too wide for [int] reads as a float; a non-finite one is refused. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    let digits () =
+      let from = !pos in
+      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
+        advance ()
+      done;
+      if !pos = from then error "expected a digit"
     in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' -> advance ()
+    | _ -> digits ());
+    let integral = ref true in
+    if peek () = Some '.' then begin
+      integral := false;
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        integral := false;
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
     let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
+    match (if !integral then int_of_string_opt tok else None) with
     | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> error ("bad number " ^ tok))
+    | None ->
+        let f = float_of_string tok in
+        if Float.is_finite f then Float f else error ("number out of range " ^ tok)
   in
   let rec parse_value () =
     skip_ws ();

@@ -23,8 +23,11 @@ val write_file : string -> value -> unit
 
 val parse : string -> (value, string) result
 (** Recursive-descent parse of a complete JSON document. Rejects
-    trailing garbage, NaN/Infinity literals, and malformed escapes;
-    the error string carries a byte offset. [parse (to_string v)]
+    trailing garbage, NaN/Infinity literals, malformed escapes, raw
+    control characters inside strings, numbers outside the JSON
+    grammar ([01], [1.], [-.5]) and numbers that overflow to a
+    non-finite float ([1e999]); the error string carries a byte
+    offset. [parse (to_string v)]
     round-trips every value the emitter can produce (non-finite floats
     come back as [Null], which is what was emitted). *)
 

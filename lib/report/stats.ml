@@ -12,9 +12,6 @@ let geomean xs =
       let logs = List.map log xs in
       exp (mean logs)
 
-let minimum xs = List.fold_left min infinity xs
-let maximum xs = List.fold_left max neg_infinity xs
-
 (* Nearest-rank percentiles (each p in [0,100]) of an unsorted sample,
    sorting it once.  The sort is stable, so equal-comparing values
    (0.0 and -0.0) keep their input order exactly as a list sort would. *)
@@ -41,15 +38,6 @@ let overhead_pct ~baseline x = 100.0 *. ((x /. baseline) -. 1.0)
 
 (* Percentage reduction from [from_] to [to_]: positive = improvement. *)
 let reduction_pct ~from_ ~to_ = 100.0 *. (1.0 -. (to_ /. from_))
-
-(* Speedup of [x] over [baseline] (throughput ratio). *)
-let speedup ~baseline x = x /. baseline
-
-let pp_ns fmt v =
-  if v >= 1e9 then Format.fprintf fmt "%.2f s" (v /. 1e9)
-  else if v >= 1e6 then Format.fprintf fmt "%.2f ms" (v /. 1e6)
-  else if v >= 1e3 then Format.fprintf fmt "%.2f us" (v /. 1e3)
-  else Format.fprintf fmt "%.0f ns" v
 
 let si v =
   if Float.abs v >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)

@@ -2,8 +2,6 @@
 
 val mean : float list -> float
 val geomean : float list -> float
-val minimum : float list -> float
-val maximum : float list -> float
 
 val percentile : float list -> p:float -> float
 (** Nearest-rank percentile ([p] in 0..100) of an unsorted sample;
@@ -20,11 +18,6 @@ val overhead_pct : baseline:float -> float -> float
 
 val reduction_pct : from_:float -> to_:float -> float
 (** Percentage reduction (positive = improvement). *)
-
-val speedup : baseline:float -> float -> float
-
-val pp_ns : Format.formatter -> float -> unit
-(** Human-friendly duration (ns/us/ms/s). *)
 
 val si : float -> string
 (** Short SI-suffixed number ("1.5k", "2.30M"). *)

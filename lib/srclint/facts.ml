@@ -5,7 +5,9 @@
    [Gate_enter]/[Gate_exit] constructions, [Obj.magic] / [assert false]
    occurrences; a separate shallow walk over structure items inventories
    module-toplevel mutable state (the domain-sharding race hazards),
-   honouring the [@@single_domain "reason"] escape hatch. *)
+   honouring the [@@single_domain "reason"] escape hatch.  For the
+   dead-export rule, [exports] lists an interface's values and [uses]
+   every value and module path an implementation names. *)
 
 open Asttypes
 open Parsetree
@@ -317,6 +319,133 @@ let toplevel_inventory str =
   in
   List.iter item str;
   (List.rev !mutables, List.rev !undocumented, List.rev !annots)
+
+(* ------------------------------------------------------------------ *)
+(* Exports and uses (dead-export)                                      *)
+(* ------------------------------------------------------------------ *)
+
+let exports sg =
+  let out = ref [] in
+  let rec items prefix sg = List.iter (item prefix) sg
+  and item prefix si =
+    match si.psig_desc with
+    | Psig_value vd ->
+        out := (List.rev (vd.pval_name.txt :: prefix), line_of vd.pval_loc) :: !out
+    | Psig_module md -> decl prefix md
+    | Psig_recmodule mds -> List.iter (decl prefix) mds
+    | _ -> ()
+  and decl prefix md =
+    match (md.pmd_name.txt, md.pmd_type.pmty_desc) with
+    | Some m, Pmty_signature sg -> items (m :: prefix) sg
+    | _ -> ()
+  in
+  items [] sg;
+  List.rev !out
+
+type uses = { values : string list list; modules : string list list }
+
+let flatten lid = try Longident.flatten lid with Misc.Fatal_error -> []
+
+(* Every path is recorded under each reading the syntax allows: as
+   written, with its head expanded through an alias in scope, and
+   prefixed by every module opened in scope (so a bare name under
+   [open M] or [M.( ... )] counts as [M.name]).  Over-approximating the
+   uses can only hide a dead export, never invent one. *)
+let uses str =
+  let values = ref [] and modules = ref [] in
+  let aliases = ref [] and opens = ref [] in
+  let resolve = function
+    | [] -> []
+    | head :: rest as path ->
+        let targets = Option.value ~default:[] (List.assoc_opt head !aliases) in
+        let base = path :: List.map (fun t -> t @ rest) targets in
+        base @ List.concat_map (fun o -> List.map (fun b -> o @ b) base) !opens
+  in
+  let value parts =
+    match List.rev parts with
+    | [] -> ()
+    | [ name ] -> values := List.map (fun o -> o @ [ name ]) !opens @ !values
+    | name :: rev_path ->
+        values := List.map (fun m -> m @ [ name ]) (resolve (List.rev rev_path)) @ !values
+  in
+  let scoped f =
+    let a = !aliases and o = !opens in
+    f ();
+    aliases := a;
+    opens := o
+  in
+  let open_ path = opens := resolve (flatten path) @ !opens in
+  let alias name path = aliases := (name, resolve (flatten path)) :: !aliases in
+  let open Ast_iterator in
+  (* [@@deriving show, eq] code calls [M.pp_u] / [M.equal_u] for each
+     [M.u] the type mentions; the parsetree holds only the attribute. *)
+  let derived decl =
+    let plugins = ref [] in
+    let payload =
+      let expr sub e =
+        (match e.pexp_desc with
+        | Pexp_ident { txt = Longident.Lident p; _ } -> plugins := p :: !plugins
+        | _ -> ());
+        default_iterator.expr sub e
+      in
+      { default_iterator with expr }
+    in
+    List.iter
+      (fun a -> if a.attr_name.txt = "deriving" then payload.payload payload a.attr_payload)
+      decl.ptype_attributes;
+    let fns = List.filter (fun (p, _) -> List.mem p !plugins) [ ("show", "pp"); ("eq", "equal") ] in
+    let typ sub t =
+      (match t.ptyp_desc with
+      | Ptyp_constr ({ txt; _ }, _) -> (
+          match List.rev (flatten txt) with
+          | ty :: rev_path ->
+              let name fn = if ty = "t" then fn else fn ^ "_" ^ ty in
+              List.iter (fun (_, fn) -> value (List.rev (name fn :: rev_path))) fns
+          | [] -> ())
+      | _ -> ());
+      default_iterator.typ sub t
+    in
+    if fns <> [] then default_iterator.type_declaration { default_iterator with typ } decl
+  in
+  let structure sub items = scoped (fun () -> default_iterator.structure sub items) in
+  let structure_item sub si =
+    match si.pstr_desc with
+    | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } -> open_ txt
+    | Pstr_module
+        {
+          pmb_name = { txt = Some name; _ };
+          pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+          _;
+        } ->
+        alias name txt
+    | Pstr_type (_, decls) ->
+        List.iter derived decls;
+        default_iterator.structure_item sub si
+    | _ -> default_iterator.structure_item sub si
+  in
+  let expr sub e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> value (flatten txt)
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
+        scoped (fun () ->
+            open_ txt;
+            sub.expr sub body)
+    | Pexp_letmodule ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
+        scoped (fun () ->
+            alias name txt;
+            sub.expr sub body)
+    | _ -> default_iterator.expr sub e
+  in
+  (* Any other module-expression use ([include], a functor argument,
+     first-class packing) stands for every value of the module. *)
+  let module_expr sub me =
+    match me.pmod_desc with
+    | Pmod_ident { txt; _ } -> modules := resolve (flatten txt) @ !modules
+    | _ -> default_iterator.module_expr sub me
+  in
+  let iter = { default_iterator with structure; structure_item; expr; module_expr } in
+  iter.structure iter str;
+  { values = !values; modules = !modules }
 
 (* ------------------------------------------------------------------ *)
 

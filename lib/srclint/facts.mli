@@ -27,10 +27,27 @@ type t = {
   assert_falses : int list;
 }
 
-val write_sinks : string list
-(** The [Phys_mem] mutators only the TCB may reach. *)
-
 val extract : Parsetree.structure -> t
+
+(** {2 Dead-export facts} *)
+
+val exports : Parsetree.signature -> (string list * int) list
+(** Every [val] of an interface, including those of nested
+    [module X : sig ... end], as (path below the compilation unit,
+    line), e.g. [(["Lane"; "send"], 12)]. *)
+
+type uses = {
+  values : string list list;  (** value paths, e.g. [["Hw"; "Clock"; "charge"]] *)
+  modules : string list list;
+      (** module paths used as a module expression ([include], a
+          functor argument, first-class packing): every value below
+          them counts as used *)
+}
+
+val uses : Parsetree.structure -> uses
+(** The value and module paths an implementation names, each under
+    every reading its aliases and opens allow.  Paths are not yet
+    qualified with the referrer's own library. *)
 
 (** {2 Shared AST helpers}
 

@@ -1,4 +1,4 @@
-(* The four rule families over a parsed source tree.
+(* The rule families over a parsed source tree.
 
    Findings carry a stable fingerprint (rule, file, symbol — no line
    numbers, so unrelated edits don't churn the baseline) and render
@@ -97,6 +97,70 @@ let crit = Report.Findings.Critical
 let warn = Report.Findings.Warning
 
 let mk rule severity file line symbol detail = { rule; severity; file; line; symbol; detail }
+
+(* dead-export: a library [val] that no compilation unit other than
+   its own implementation names — not another module of the library,
+   another library, an executable, an example, perfbench or a test. *)
+let dead_exports (tree : Source.tree) emit =
+  let unit_of path = String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) in
+  let units = Hashtbl.create 16 in
+  List.iter
+    (fun (i : Source.intf) ->
+      Hashtbl.add units i.Source.intf_library.Source.lib_module (unit_of i.Source.intf_path))
+    tree.Source.interfaces;
+  (* "v:Hw.Clock.charge" / "m:Hw.Clock" -> the files naming it *)
+  let users = Hashtbl.create 4096 in
+  let note file key =
+    if not (List.mem file (Hashtbl.find_all users key)) then Hashtbl.add users key file
+  in
+  List.iter
+    (fun (file : Source.file) ->
+      let lib_module = file.Source.library.Source.lib_module in
+      let siblings = Hashtbl.find_all units lib_module in
+      let note kind path =
+        note file.Source.path (kind ^ String.concat "." path);
+        (* [Clock.charge] inside hw is [Hw.Clock.charge] *)
+        match path with
+        | head :: _ when List.mem head siblings ->
+            note file.Source.path (kind ^ String.concat "." (lib_module :: path))
+        | _ -> ()
+      in
+      let u = Facts.uses file.Source.ast in
+      List.iter (note "v:") u.Facts.values;
+      List.iter (note "m:") u.Facts.modules)
+    (tree.Source.files @ tree.Source.referrers);
+  List.iter
+    (fun (i : Source.intf) ->
+      let path = i.Source.intf_path in
+      match i.Source.intf_error with
+      | Some (line, msg) ->
+          emit
+            (mk "parse-error" crit path line (Filename.basename path)
+               ("compiler front end rejected this file: " ^ msg))
+      | None ->
+          let impl = Filename.chop_suffix path ".mli" ^ ".ml" in
+          let unit = unit_of path and lib_module = i.Source.intf_library.Source.lib_module in
+          (* The module named after its library is the library itself. *)
+          let unit_path = if unit = lib_module then [ unit ] else [ lib_module; unit ] in
+          let used kind p =
+            List.exists (( <> ) impl) (Hashtbl.find_all users (kind ^ String.concat "." p))
+          in
+          List.iter
+            (fun (rel, line) ->
+              let full = unit_path @ rel in
+              let enclosing =
+                List.init (List.length full - 1) (fun n -> List.filteri (fun i _ -> i <= n) full)
+              in
+              if not (used "v:" full || List.exists (used "m:") enclosing) then
+                emit
+                  (mk "dead-export" warn path line
+                     (String.concat "." (unit :: rel))
+                     (Printf.sprintf
+                        "%s is exported but nothing outside %s names it; delete it and \
+                         whatever only it kept alive"
+                        (String.concat "." full) impl)))
+            (Facts.exports i.Source.intf_sig))
+    tree.Source.interfaces
 
 let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : finding list =
   let out = ref [] in
@@ -271,6 +335,8 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
              "[@@domain_shared] carries no reason string; say why cross-domain sharing \
               of this value is sound"))
     esc.Escape.shared_annots;
+  (* (6) dead-export *)
+  dead_exports tree emit;
   (* Deduplicate identical (rule, file, symbol, line) — e.g. a module
      referenced from several syntactic positions on one line — then
      order by file and line for stable output. *)

@@ -5,7 +5,4 @@ type t = Atom of string | List of t list
 
 exception Parse_error of string
 
-val parse_string : string -> t list
-(** All toplevel s-expressions in the input.  @raise Parse_error *)
-
 val parse_file : string -> t list

@@ -1,5 +1,6 @@
 (* Source-tree model: find the repo root, enumerate the dune libraries
-   under lib/, and parse every implementation file with the installed
+   under lib/, and parse every implementation and interface file (plus
+   the callers in the executable and reference-only scopes) with the installed
    compiler's own front end (compiler-libs), so the auditor sees the
    exact AST the build sees — ppx attributes and all (attributes parse
    without running the rewriters; the auditor never typechecks). *)
@@ -26,7 +27,20 @@ type file = {
   parse_error : (int * string) option;  (** line, message *)
 }
 
-type tree = { root : string; libs : lib list; files : file list }
+type intf = {
+  intf_path : string;  (** repo-relative [.mli] *)
+  intf_library : lib;
+  intf_sig : Parsetree.signature;  (** empty when the parse failed *)
+  intf_error : (int * string) option;
+}
+
+type tree = {
+  root : string;
+  libs : lib list;
+  files : file list;
+  interfaces : intf list;
+  referrers : file list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Root discovery                                                      *)
@@ -102,10 +116,10 @@ let count_lines content =
   if String.length content > 0 && content.[String.length content - 1] <> '\n' then incr lines;
   !lines
 
-let parse_impl ~path content =
+let parse parser ~path content =
   let lexbuf = Lexing.from_string content in
   Lexing.set_filename lexbuf path;
-  try Ok (Parse.implementation lexbuf)
+  try Ok (parser lexbuf)
   with exn ->
     let line =
       match exn with
@@ -132,6 +146,12 @@ let sorted_dir path = Sys.readdir path |> Array.to_list |> List.sort String.comp
    (missing-mli, domain-safety, TCB hygiene) do not. *)
 let exe_dirs = [ "bin"; "bench" ]
 
+(* Reference-only directories: parsed solely so the dead-export rule
+   sees their callers; no rule family audits them. *)
+let ref_dirs = [ "examples"; "perfbench"; "test" ]
+
+let is_dir path = try Sys.is_directory path with Sys_error _ -> false
+
 let load_tree ~root =
   let libdir = Filename.concat root "lib" in
   let libs =
@@ -139,7 +159,7 @@ let load_tree ~root =
     |> List.filter_map (fun entry ->
            let dir = Filename.concat libdir entry in
            let dune = Filename.concat dir "dune" in
-           if (try Sys.is_directory dir with Sys_error _ -> false) && Sys.file_exists dune then
+           if is_dir dir && Sys.file_exists dune then
              match List.find_map library_of_stanza (Sexp.parse_file dune) with
              | Some (name, deps) ->
                  Some
@@ -159,7 +179,7 @@ let load_tree ~root =
     |> List.filter_map (fun entry ->
            let dir = Filename.concat root entry in
            let dune = Filename.concat dir "dune" in
-           if (try Sys.is_directory dir with Sys_error _ -> false) && Sys.file_exists dune then
+           if is_dir dir && Sys.file_exists dune then
              match List.filter_map executable_libraries_of_stanza (Sexp.parse_file dune) with
              | [] -> None
              | per_stanza ->
@@ -177,31 +197,51 @@ let load_tree ~root =
            else None)
   in
   let libs = libs @ exes in
-  let files =
-    List.concat_map
-      (fun lib ->
-        let dir = Filename.concat root lib.lib_dir in
-        sorted_dir dir
-        |> List.filter (fun f ->
-               (* .pp.ml are ppx-expanded build artifacts, not sources *)
-               Filename.check_suffix f ".ml" && not (Filename.check_suffix f ".pp.ml"))
-        |> List.map (fun f ->
-               let abs = Filename.concat dir f in
-               let content = read_file abs in
-               let path = lib.lib_dir ^ "/" ^ f in
-               let ast, parse_error =
-                 match parse_impl ~path content with
-                 | Ok ast -> (ast, None)
+  let sources suffix lib =
+    let dir = Filename.concat root lib.lib_dir in
+    sorted_dir dir
+    (* .pp.ml are ppx-expanded build artifacts, not sources *)
+    |> List.filter (fun f ->
+           Filename.check_suffix f suffix && not (Filename.check_suffix f (".pp" ^ suffix)))
+    |> List.map (fun f -> (lib.lib_dir ^ "/" ^ f, read_file (Filename.concat dir f)))
+  in
+  let parse_file lib (path, content) =
+    let ast, parse_error =
+      match parse Parse.implementation ~path content with
+      | Ok ast -> (ast, None)
+      | Error e -> ([], Some e)
+    in
+    {
+      path;
+      library = lib;
+      loc = count_lines content;
+      has_mli = Sys.file_exists (Filename.concat root (Filename.chop_suffix path ".ml" ^ ".mli"));
+      ast;
+      parse_error;
+    }
+  in
+  let files = List.concat_map (fun lib -> List.map (parse_file lib) (sources ".ml" lib)) libs in
+  let interfaces =
+    List.filter (fun l -> not l.lib_exe) libs
+    |> List.concat_map (fun lib ->
+           List.map
+             (fun (path, content) ->
+               let intf_sig, intf_error =
+                 match parse Parse.interface ~path content with
+                 | Ok s -> (s, None)
                  | Error e -> ([], Some e)
                in
-               {
-                 path;
-                 library = lib;
-                 loc = count_lines content;
-                 has_mli = Sys.file_exists (Filename.concat dir (Filename.chop_suffix f ".ml" ^ ".mli"));
-                 ast;
-                 parse_error;
-               }))
-      libs
+               { intf_path = path; intf_library = lib; intf_sig; intf_error })
+             (sources ".mli" lib))
   in
-  { root; libs; files }
+  let referrers =
+    ref_dirs
+    |> List.filter (fun d -> is_dir (Filename.concat root d))
+    |> List.concat_map (fun d ->
+           let lib =
+             { lib_name = d; lib_dir = d; lib_module = ""; lib_deps = []; lib_dune = d ^ "/dune";
+               lib_exe = true }
+           in
+           List.map (parse_file lib) (sources ".ml" lib))
+  in
+  { root; libs; files; interfaces; referrers }

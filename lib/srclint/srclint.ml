@@ -8,7 +8,9 @@
    mutable state — the race hazards blocking the domain-sharding
    engine overhaul — is inventoried or fixed, and a hygiene family
    (missing .mli, Obj.magic / assert false in TCB files, unpaired
-   Gate_enter/Gate_exit probe emissions).
+   Gate_enter/Gate_exit probe emissions), and dead exports: a [val] in
+   a lib/ interface that no other compilation unit — library,
+   executable, example, perfbench or test — names.
 
    `cki_demo lint-src` drives this with a checked-in baseline of
    accepted exceptions; `bench/main.exe srclint --json` tracks scan

@@ -4,10 +4,6 @@
 
 type t = Bare_metal | Nested
 
-val pp : Format.formatter -> t -> unit
-val show : t -> string
-val equal : t -> t -> bool
-
 val suffix : t -> string
 (** "BM" / "NST", used in backend labels. *)
 

@@ -17,8 +17,6 @@
        itself), making context switching and IPC slow (Figure 11). *)
 
 type state = {
-  machine : Hw.Machine.t;
-  container_id : int;
   (* Guest page tables (gVA -> gPA) and host shadow tables (gVA -> hPA),
      one pair per guest address space. *)
   guest_pts : (int, Hw.Page_table.t) Hashtbl.t;
@@ -31,7 +29,6 @@ type state = {
   mutable in_fault : bool;
       (** the next pte_install is part of a demand fault whose trap
           costs were already bundled into fault_round_trip *)
-  nested : bool;
 }
 
 (* Process-wide id allocator.  [Atomic.t] so backends created from
@@ -45,8 +42,6 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
   let container_id = Atomic.fetch_and_add next_container_id 1 + 1 in
   let st =
     {
-      machine;
-      container_id;
       guest_pts = Hashtbl.create 8;
       shadow_pts = Hashtbl.create 8;
       gpa_to_hpa = Hashtbl.create 1024;
@@ -55,7 +50,6 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
       next_as = 0;
       shadow_syncs = 0;
       in_fault = false;
-      nested;
     }
   in
   let mem = Hw.Machine.mem machine in

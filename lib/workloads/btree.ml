@@ -8,10 +8,10 @@
 let order = 32 (* max keys per node *)
 
 type node = {
-  mutable keys : int array;
+  keys : int array;
   mutable nkeys : int;
-  mutable values : int array;
-  mutable children : node array;  (** empty for leaves *)
+  values : int array;
+  children : node array;  (** empty for leaves *)
 }
 
 type t = {

@@ -4,21 +4,12 @@
     arena, so inserts produce genuine demand faults with realistic
     density, while lookups are pure compute. *)
 
-val order : int
-val node_bytes : int
-
-val entry_bytes : int
-(** Out-of-line value payload allocated per insert. *)
-
 type t
 
 val create : Virt.Backend.t -> Kernel_model.Task.t -> t
 val insert : t -> int -> int -> unit
 val lookup : t -> int -> int option
 val size : t -> int
-
-val insert_compute : float
-val lookup_compute : float
 
 val run : Virt.Backend.t -> inserts:int -> lookups:int -> float
 (** The Figure 12/4 configuration; returns total simulated latency. *)

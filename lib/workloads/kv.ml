@@ -9,7 +9,7 @@
    EOI, nested L0 redirection — all flow through the platform, which is
    where the paper's 1.3x-6.8x spreads come from. *)
 
-type flavor = Memcached | Redis [@@deriving show { with_path = false }, eq]
+type flavor = Memcached | Redis [@@deriving show { with_path = false }]
 
 type server = {
   flavor : flavor;

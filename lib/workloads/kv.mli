@@ -10,9 +10,7 @@
 
 type flavor = Memcached | Redis
 
-val pp_flavor : Format.formatter -> flavor -> unit
 val show_flavor : flavor -> string
-val equal_flavor : flavor -> flavor -> bool
 
 type server = {
   flavor : flavor;
@@ -24,12 +22,6 @@ type server = {
   value_size : int;
   mutable requests : int;
 }
-
-val compute_per_request : flavor -> float
-val aux_syscalls : flavor -> int
-
-val batch_size : flavor -> int
-(** Event-loop coalescing of doorbells/interrupts (redis pipelines). *)
 
 val create_server : Virt.Backend.t -> flavor -> server
 

@@ -13,7 +13,6 @@ type op =
   | Ctx_switch_2p_0k
   | Pipe
   | Af_unix
-[@@deriving show { with_path = false }, eq]
 
 let all_ops =
   [ Read; Write; Stat; Prot_fault; Page_fault; Fork_exit; Fork_execve; Ctx_switch_2p_0k; Pipe; Af_unix ]

@@ -13,14 +13,7 @@ type op =
   | Pipe
   | Af_unix
 
-val pp_op : Format.formatter -> op -> unit
-val show_op : op -> string
-val equal_op : op -> op -> bool
 val all_ops : op list
 val op_name : op -> string
-val fork_resident_pages : int
-
-val measure : Virt.Backend.t -> op -> iters:int -> float
-(** Mean latency in simulated ns. *)
 
 val run_suite : ?iters:int -> Virt.Backend.t -> (op * float) list

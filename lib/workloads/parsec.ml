@@ -33,8 +33,6 @@ let fluidanimate =
 let freqmine =
   { name = "freqmine"; pages = 6_000; compute_per_page = 26_000.0; churn = 0.6; syscalls_per_100_pages = 2 }
 
-let all = [ canneal; dedup; fluidanimate; freqmine ]
-
 let chunk_pages = 64
 
 let run (b : Virt.Backend.t) (p : profile) =

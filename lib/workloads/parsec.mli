@@ -19,8 +19,6 @@ val canneal : profile
 val dedup : profile
 val fluidanimate : profile
 val freqmine : profile
-val all : profile list
-val chunk_pages : int
 
 val run : Virt.Backend.t -> profile -> float
 (** Total simulated latency of the run. *)

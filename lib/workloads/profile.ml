@@ -10,10 +10,6 @@ type run = {
   syscalls : int;
 }
 
-let pp_run fmt r =
-  Format.fprintf fmt "%s/%s: %.0f ns, %.0f ops/s, %d faults, %d syscalls" r.workload r.label
-    r.latency_ns r.throughput r.faults r.syscalls
-
 (* Deterministic xorshift64* PRNG so runs are reproducible. *)
 module Rng = struct
   type t = { mutable s : int64 }

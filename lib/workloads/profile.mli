@@ -11,14 +11,11 @@ type run = {
   syscalls : int;
 }
 
-val pp_run : Format.formatter -> run -> unit
-
 (** Deterministic xorshift64* PRNG. *)
 module Rng : sig
   type t
 
   val create : ?seed:int64 -> unit -> t
-  val next : t -> int64
   val int : t -> int -> int
   val float : t -> float
 end

@@ -18,7 +18,6 @@ type db = {
   mutable next_off : int;
   mutable in_txn : bool;
   mutable txn_ops : int;
-  mutable syscalls_before : int;
   row_bytes : int;
 }
 
@@ -42,7 +41,6 @@ let open_db (b : Virt.Backend.t) ~name =
     next_off = 0;
     in_txn = false;
     txn_ops = 0;
-    syscalls_before = 0;
     row_bytes = 116 (* 16-byte key + 100-byte value, as db_bench *);
   }
 
@@ -102,7 +100,6 @@ type pattern =
   | Overwritebatch
   | Readseq
   | Readrandom
-[@@deriving show { with_path = false }, eq]
 
 let all_patterns =
   [ Fillseq; Fillseqbatch; Fillrandom; Fillrandbatch; Overwritebatch; Readseq; Readrandom ]

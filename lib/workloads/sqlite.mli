@@ -9,9 +9,7 @@
 
 type db
 
-val page_bytes : int
 val open_db : Virt.Backend.t -> name:string -> db
-val statement_compute : float
 
 val txn_begin : db -> unit
 val txn_commit : db -> unit
@@ -30,14 +28,8 @@ type pattern =
   | Readseq
   | Readrandom
 
-val pp_pattern : Format.formatter -> pattern -> unit
-val show_pattern : pattern -> string
-val equal_pattern : pattern -> pattern -> bool
 val all_patterns : pattern list
 val pattern_name : pattern -> string
-
-val batch_of : pattern -> int
-(** Operations per transaction (1000 for the *batch patterns). *)
 
 type result = {
   ops_per_sec : float;

@@ -10,12 +10,7 @@
      - httpd: like static with a heavier syscall footprint
        (per-request accept4/setsockopt/writev and logging write). *)
 
-type kind = Nginx_static | Nginx_proxy | Httpd [@@deriving show { with_path = false }, eq]
-
-let kind_name = function
-  | Nginx_static -> "nginx (static)"
-  | Nginx_proxy -> "nginx (proxy)"
-  | Httpd -> "httpd"
+type kind = Nginx_static | Nginx_proxy | Httpd
 
 type server = {
   backend : Virt.Backend.t;

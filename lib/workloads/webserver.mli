@@ -4,14 +4,6 @@
 
 type kind = Nginx_static | Nginx_proxy | Httpd
 
-val pp_kind : Format.formatter -> kind -> unit
-val show_kind : kind -> string
-val equal_kind : kind -> kind -> bool
-val kind_name : kind -> string
-val file_bytes : int
-val rx_batch : int
-val request_compute : kind -> float
-
 type server = {
   backend : Virt.Backend.t;
   task : Kernel_model.Task.t;

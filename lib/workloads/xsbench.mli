@@ -6,10 +6,5 @@
     so secure-container overhead decays with the particle count, the
     Figure 13b sweep. *)
 
-val gridpoint_bytes : int
-val lookups_per_particle : int
-val lookup_compute : float
-val init_compute_per_gridpoint : float
-
 val run : Virt.Backend.t -> gridpoints:int -> particles:int -> float
 (** Total simulated latency. *)

@@ -145,18 +145,6 @@ let test_vfs_lookup_cost_per_component () =
   (* resolving "/a/b" for the parent = 2 components *)
   check_int "2 lookups" (before + 2) (Hw.Clock.occurrences clock "vfs_lookup")
 
-let test_slab_many_sizes () =
-  let b = Kernel_model.Buddy.create ~base:0 ~frames:128 in
-  List.iter
-    (fun size ->
-      let s = Kernel_model.Slab.create ~name:"t" ~obj_size:size b in
-      let hs = List.init 100 (fun _ -> Kernel_model.Slab.alloc s) in
-      List.iter (Kernel_model.Slab.free s) hs;
-      check_int (Printf.sprintf "size %d drained" size) 0 (Kernel_model.Slab.allocated s))
-    [ 16; 64; 256; 1024; 4096 ];
-  check_raises "oversized" (Invalid_argument "Slab.create: bad obj_size") (fun () ->
-      ignore (Kernel_model.Slab.create ~name:"x" ~obj_size:8192 b))
-
 let prop_vma_no_overlap_after_ops =
   QCheck.Test.make ~name:"vma areas never overlap" ~count:60
     QCheck.(small_list (pair (int_bound 60) (pair (int_range 1 8) (int_bound 2))))
@@ -339,7 +327,6 @@ let suite =
         test_case "syscall error paths" `Quick test_syscall_error_paths;
         test_case "file positions" `Quick test_read_write_positions;
         test_case "vfs lookup cost per component" `Quick test_vfs_lookup_cost_per_component;
-        test_case "slab sizes" `Quick test_slab_many_sizes;
         QCheck_alcotest.to_alcotest prop_vma_no_overlap_after_ops;
       ] );
     ( "depth/cki",

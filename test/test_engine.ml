@@ -618,7 +618,52 @@ let test_json_rejects_malformed () =
   check bool "NaN literal" true (bad "NaN");
   check bool "bare word" true (bad "nope");
   check bool "bad escape" true (bad "\"\\q\"");
-  check bool "lone minus" true (bad "-")
+  check bool "lone minus" true (bad "-");
+  (* Outside the JSON grammar, though OCaml's number readers take them. *)
+  check bool "leading zero" true (bad "01");
+  check bool "negative leading zero" true (bad "-01");
+  check bool "no fraction digits" true (bad "1.");
+  check bool "no integer digits" true (bad "-.5");
+  check bool "overflowing exponent" true (bad "1e999");
+  check bool "negative overflowing exponent" true (bad "-1e999");
+  check bool "raw control byte in string" true (bad "\"a\001b\"");
+  check bool "raw newline in string" true (bad "\"a\nb\"");
+  check bool "non-hex \\u escape" true (bad "\"\\u00_1\"");
+  (* Still accepted: the grammar's edge forms. *)
+  check bool "zero, exponents, negative fraction" true
+    (parse "[0, -0, 1e5, 1E-2, -0.5, 2.5e+3]"
+    = Ok (List [ Int 0; Int 0; Float 1e5; Float 1e-2; Float (-0.5); Float 2.5e3 ]))
+
+(* Seeded parser fuzz over a checked-in artifact: random byte
+   replacements (biased toward JSON's own punctuation) and truncations.
+   Every mutant must come back [Ok] or [Error], never raise. *)
+let test_json_fuzz_never_raises () =
+  let doc = In_channel.with_open_bin "../BENCH_fleet.json" In_channel.input_all in
+  check bool "artifact parses" true (Result.is_ok (Report.Json.parse doc));
+  let rng = Random.State.make [| 16 |] in
+  let n = String.length doc in
+  let alphabet = "{}[]\":,.-+eE0123456789 \n\\ut" in
+  let rejected = ref 0 in
+  for k = 1 to 4000 do
+    let mutant =
+      if k mod 4 = 0 then String.sub doc 0 (Random.State.int rng n)
+      else
+        let b = Bytes.of_string doc in
+        for _ = 0 to Random.State.int rng 3 do
+          let c =
+            if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
+            else Char.chr (Random.State.int rng 256)
+          in
+          Bytes.set b (Random.State.int rng n) c
+        done;
+        Bytes.to_string b
+    in
+    match Report.Json.parse mutant with
+    | Ok _ -> ()
+    | Error _ -> incr rejected
+    | exception e -> fail ("parse raised " ^ Printexc.to_string e)
+  done;
+  check bool "most mutants rejected" true (!rejected > 2000)
 
 let suite =
   [
@@ -656,6 +701,7 @@ let suite =
       [
         test_case "emit/parse round-trip" `Quick test_json_roundtrip;
         test_case "malformed input rejected" `Quick test_json_rejects_malformed;
+        test_case "parser fuzz never raises" `Quick test_json_fuzz_never_raises;
       ] );
     ( "engine-sharding",
       [

@@ -1,4 +1,4 @@
-(* Tests for the kernel substrate: buddy, slab, vma, mm, tmpfs, pipe,
+(* Tests for the kernel substrate: buddy, vma, mm, tmpfs, pipe,
    virtio, net, task/sched, and end-to-end syscalls on the bare
    platform. *)
 
@@ -215,21 +215,6 @@ let buddy_differential ~segments ~seed ~steps =
 
 let test_buddy_matches_reference segments () =
   List.iter (fun seed -> buddy_differential ~segments ~seed ~steps:1500) [ 1; 2; 3 ]
-
-(* ------------------------------ Slab ------------------------------ *)
-
-let test_slab_alloc_free () =
-  let b = Kernel_model.Buddy.create ~base:0 ~frames:64 in
-  let s = Kernel_model.Slab.create ~name:"obj" ~obj_size:128 b in
-  let hs = List.init 40 (fun _ -> Kernel_model.Slab.alloc s) in
-  check_int "allocated" 40 (Kernel_model.Slab.allocated s);
-  check_bool "handles unique" true (List.length (List.sort_uniq compare hs) = 40);
-  (* 32 objs per 4k page -> 2 slabs *)
-  check_int "slabs" 2 (Kernel_model.Slab.slab_count s);
-  List.iter (Kernel_model.Slab.free s) hs;
-  check_int "empty" 0 (Kernel_model.Slab.allocated s);
-  check_raises "unknown handle" (Invalid_argument "Slab.free: unknown handle") (fun () ->
-      Kernel_model.Slab.free s 9999)
 
 (* ------------------------------- Vma ------------------------------ *)
 
@@ -597,7 +582,6 @@ let suite =
         test_case "list reference: 3 zones" `Quick
           (test_buddy_matches_reference [ (6000, 300); (0, 77); (4099, 1100) ]);
       ] );
-    ("kernel/slab", [ test_case "alloc/free/reclaim" `Quick test_slab_alloc_free ]);
     ( "kernel/vma",
       [
         test_case "add/find/overlap" `Quick test_vma_add_find_overlap;

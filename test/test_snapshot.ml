@@ -196,6 +196,55 @@ let test_corrupted_image_rejected () =
   | Error _ -> ()
   | Ok _ -> fail "read_file of missing path succeeded"
 
+(* Seeded decoder fuzz over the checked-in fixture: payload bit flips,
+   digit swaps and truncations, each resealed with a recomputed
+   checksum so the structural parser (not just the checksum) sees the
+   damage.  Every mutant must come back [Ok] or [Error], never raise. *)
+let test_decode_fuzz_never_raises () =
+  let enc = In_channel.with_open_bin "fixtures/golden_v2.ckisnap" In_channel.input_all in
+  let header, payload =
+    match String.split_on_char '\n' enc with
+    | magic :: _checksum :: rest -> (magic, String.concat "\n" rest)
+    | _ -> fail "fixture has no header"
+  in
+  let reseal p = Printf.sprintf "%s\nchecksum %016Lx\n%s" header (Snapshot.Image.fnv1a64 p) p in
+  check bool "resealed fixture decodes" true
+    (Result.is_ok (Snapshot.Image.decode (reseal payload)));
+  let rng = Random.State.make [| 16 |] in
+  let n = String.length payload in
+  let digits =
+    List.init n Fun.id
+    |> List.filter (fun i -> payload.[i] >= '0' && payload.[i] <= '9')
+    |> Array.of_list
+  in
+  let mutate kind =
+    let b = Bytes.of_string payload in
+    match kind with
+    | `Flip ->
+        let i = Random.State.int rng n in
+        Bytes.set b i (Char.chr (Char.code payload.[i] lxor (1 lsl Random.State.int rng 8)));
+        Bytes.to_string b
+    | `Digit ->
+        let i = digits.(Random.State.int rng (Array.length digits)) in
+        Bytes.set b i (Char.chr (Char.code '0' + Random.State.int rng 10));
+        Bytes.to_string b
+    | `Truncate -> String.sub payload 0 (Random.State.int rng n)
+  in
+  let rejected = ref 0 and checksum = ref 0 in
+  List.iter
+    (fun kind ->
+      for _ = 1 to 400 do
+        let mutant = reseal (mutate kind) in
+        match Snapshot.Image.decode mutant with
+        | Ok _ -> ()
+        | Error Snapshot.Image.Bad_checksum -> incr checksum
+        | Error _ -> incr rejected
+        | exception e -> fail ("decode raised " ^ Printexc.to_string e)
+      done)
+    [ `Flip; `Digit; `Truncate ];
+  check int "resealed mutants all pass the checksum" 0 !checksum;
+  check bool "the structural parser rejected some" true (!rejected > 0)
+
 (* Fault injection: forge a writable PTE onto a CoW-shared frame behind
    the monitor's back; the scanner must name it. *)
 let test_cow_writable_detected () =
@@ -639,6 +688,7 @@ let suite =
         test_case "clone-then-write CoW divergence" `Quick test_clone_cow_divergence;
         test_case "cross-machine restore relocates hPAs" `Quick test_cross_machine_restore;
         test_case "corrupted images are rejected" `Quick test_corrupted_image_rejected;
+        test_case "decoder fuzz never raises" `Quick test_decode_fuzz_never_raises;
         test_case "forged writable CoW mapping is flagged" `Quick test_cow_writable_detected;
         test_case "warm pool pre-boots and rotates" `Quick test_warm_pool_counts;
         test_case "buddy reserve replays allocations" `Quick test_buddy_reserve;

@@ -561,6 +561,91 @@ let test_exe_scope_forbidden_edge () =
     findings
 
 (* ------------------------------------------------------------------ *)
+(* (7) dead-export                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Library [app] exports [M.f] at the top level and [M.Sub.g] inside a
+   [module Sub : sig]; each case adds the callers under test.  [m.ml]
+   names both the way a caller would, and that still counts for
+   nothing: the module's own implementation is not a caller. *)
+let export_arch = [ ("app", []); ("user", [ "app" ]) ]
+
+let exporting callers =
+  scan ~arch:export_arch
+    ([
+       ("lib/app/dune", lib_dune "app");
+       ( "lib/app/m.ml",
+         "let f () = 1\nmodule Sub = struct let g () = 2 end\nlet _ = App.M.f () + M.Sub.g ()\n" );
+       ("lib/app/m.mli", "val f : unit -> int\n\nmodule Sub : sig\n  val g : unit -> int\nend\n");
+     ]
+    @ callers)
+
+let user code =
+  [
+    ("lib/user/dune", lib_dune ~deps:[ "app" ] "user");
+    ("lib/user/u.ml", code);
+    ("lib/user/u.mli", "");
+  ]
+
+let test_dead_export_fires () =
+  (* The only use is the module's own implementation. *)
+  let findings = exporting [] in
+  fires "unused top-level val" "dead-export" ~file:"lib/app/m.mli" ~line:1 findings;
+  fires "unused val in module X : sig" "dead-export" ~file:"lib/app/m.mli" ~line:4 findings;
+  check_bool "symbol is the module path" true
+    (List.exists
+       (fun (f : Srclint.Rules.finding) ->
+         f.Srclint.Rules.rule = "dead-export" && f.Srclint.Rules.symbol = "M.Sub.g")
+       findings);
+  (* A caller of [f] alone leaves [Sub.g] dead. *)
+  let findings = exporting (user "let x = App.M.f ()\n") in
+  fires "partly used module" "dead-export" ~file:"lib/app/m.mli" ~line:4 findings;
+  check_bool "the used val is silent" true
+    (not
+       (List.exists
+          (fun (f : Srclint.Rules.finding) ->
+            f.Srclint.Rules.rule = "dead-export" && f.Srclint.Rules.line = 1)
+          findings))
+
+let test_dead_export_uses_silent () =
+  List.iter
+    (fun (name, callers) -> silent name "dead-export" (exporting callers))
+    [
+      ("library-qualified path", user "let x = App.M.f () + App.M.Sub.g ()\n");
+      ( "bare path inside the library",
+        [ ("lib/app/n.ml", "let x = M.f () + M.Sub.g ()\n"); ("lib/app/n.mli", "") ] );
+      ("module aliases", user "module A = App.M\nmodule S = A.Sub\nlet x = A.f () + S.g ()\n");
+      ("let module alias", user "let x = let module S = App.M.Sub in S.g () + App.M.f ()\n");
+      ("structure open", user "open App\nopen M\nlet x = f () + Sub.g ()\n");
+      ("let open", user "let x = let open App.M in f () + Sub.g ()\n");
+      ("local open M.( ... )", user "let x = App.M.(f () + Sub.g ())\n");
+      ("include", user "include App.M\n");
+      ("functor argument", user "module F (X : sig end) = struct end\nmodule G = F (App.M)\n");
+      ("test/ caller", [ ("test/t.ml", "let x = App.M.f () + App.M.Sub.g ()\n") ]);
+      ("perfbench/ caller", [ ("perfbench/p.ml", "let x = App.M.f () + App.M.Sub.g ()\n") ]);
+      ("examples/ caller", [ ("examples/e.ml", "let x = App.M.f () + App.M.Sub.g ()\n") ]);
+    ];
+  (* [@@deriving show, eq] code calls [M.pp_u] and [M.equal] for the
+     types [M.u] and [M.t] it names. *)
+  silent "deriving-generated calls" "dead-export"
+    (scan ~arch:export_arch
+       ([
+          ("lib/app/dune", lib_dune "app");
+          ( "lib/app/m.ml",
+            "type t = int\ntype u = int\nlet equal = Int.equal\nlet pp_u = Format.pp_print_int\n" );
+          ( "lib/app/m.mli",
+            "type t\ntype u\nval equal : t -> t -> bool\nval pp_u : Format.formatter -> u -> unit\n" );
+        ]
+       @ user "type r = { a : App.M.t; b : App.M.u } [@@deriving show, eq]\n"))
+
+let test_dead_export_reference_only_scope () =
+  (* A reference-only file is read for its callers and audited by
+     nothing: a missing interface and a forbidden edge stay silent. *)
+  let findings = exporting [ ("test/t.ml", "let x = App.M.f () + App.M.Sub.g ()\n") ] in
+  silent "no missing-mli in test/" "missing-mli" findings;
+  silent "no layering in test/" "layering" findings
+
+(* ------------------------------------------------------------------ *)
 (* Baseline mechanics                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -707,6 +792,13 @@ let suite =
       [
         test_case "undeclared dep fires, lib families don't" `Quick test_exe_scope_layering;
         test_case "forbidden edge fires from exe dune" `Quick test_exe_scope_forbidden_edge;
+      ] );
+    ( "srclint-dead-export",
+      [
+        test_case "unused val fires" `Quick test_dead_export_fires;
+        test_case "every kind of use is silent" `Quick test_dead_export_uses_silent;
+        test_case "reference-only scopes are not audited" `Quick
+          test_dead_export_reference_only_scope;
       ] );
     ( "srclint-baseline",
       [
