@@ -15,9 +15,9 @@
      pushed through a closure sink;
    - clock charging: [charge_id] into flat per-id arrays, vs the
      pre-overhaul string-keyed hashtable charge;
-   - translation: the memoized per-CPU fast path, vs the same engine
-     with [Cpu.set_tcache] off (TLB-hashtable front end — exactly the
-     pre-overhaul translation path).
+   - translation: [Cpu.access] over the packed int-array TLB, vs the
+     pre-overhaul front end (tuple-keyed TLB hashtable + [Queue],
+     [Pte.make] and the boxed PTE permission check on every hit).
 
    Each section runs its two sides interleaved [repeats] times and
    keeps the minimum of each, recording the spread, so one host hiccup
@@ -141,6 +141,84 @@ module Legacy = struct
       (1 + Option.value ~default:0 (Hashtbl.find_opt c.counters event));
     Hashtbl.replace c.spent event
       (ns +. Option.value ~default:0.0 (Hashtbl.find_opt c.spent event))
+
+  (* lib/hw/tlb.ml and the front end of [Cpu.access] before the
+     overhaul: a (pcid, vpn)-tuple Hashtbl plus a FIFO Queue of keys, a
+     boxed entry per fill, and every hit rebuilding the int64 PTE with
+     [Pte.make] for the boxed permission check. *)
+  type tlb_entry = { pfn : int; flags : Hw.Pte.flags; level : int }
+
+  type tlb = {
+    capacity : int;
+    table : (int * int, tlb_entry) Hashtbl.t;
+    order : (int * int) Queue.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let tlb_create capacity =
+    { capacity; table = Hashtbl.create (2 * capacity); order = Queue.create (); hits = 0; misses = 0 }
+
+  let tlb_lookup t ~pcid va =
+    let vpn = Hw.Addr.vpn_of_va va in
+    match Hashtbl.find_opt t.table (pcid, vpn) with
+    | Some e ->
+        t.hits <- t.hits + 1;
+        Some e
+    | None -> (
+        match Hashtbl.find_opt t.table (pcid, vpn land lnot 511) with
+        | Some e when e.level = 2 ->
+            t.hits <- t.hits + 1;
+            Some e
+        | _ ->
+            t.misses <- t.misses + 1;
+            None)
+
+  let tlb_insert t ~pcid ~va entry =
+    let vpn = Hw.Addr.vpn_of_va va in
+    let vpn = if entry.level = 2 then vpn land lnot 511 else vpn in
+    if Hashtbl.length t.table >= t.capacity then
+      Option.iter (Hashtbl.remove t.table) (Queue.take_opt t.order);
+    if not (Hashtbl.mem t.table (pcid, vpn)) then Queue.add (pcid, vpn) t.order;
+    Hashtbl.replace t.table (pcid, vpn) entry
+
+  let check_pte (cpu : Hw.Cpu.t) ~va ~(access : Hw.Pks.access) ~exec pte : Hw.Cpu.fault option =
+    let user_mode = cpu.mode = Hw.Cpu.User in
+    if not (Hw.Pte.is_present pte) then Some (Hw.Cpu.Not_present va)
+    else if user_mode && not (Hw.Pte.is_user pte) then Some (Hw.Cpu.Priv_page_violation va)
+    else if exec && Hw.Pte.is_nx pte then Some (Hw.Cpu.Nx_violation va)
+    else if access = Hw.Pks.Write && (not (Hw.Pte.is_writable pte)) && user_mode then
+      Some (Hw.Cpu.Write_violation va)
+    else begin
+      let key = Hw.Pte.pkey pte in
+      let rights = if Hw.Pte.is_user pte then cpu.pkru else cpu.pkrs in
+      if (not exec) && not (Hw.Pks.allows rights ~key access) then
+        Some (Hw.Cpu.Pks_violation { va; key; access })
+      else if access = Hw.Pks.Write && not (Hw.Pte.is_writable pte) then Some (Hw.Cpu.Write_violation va)
+      else None
+    end
+
+  let access (cpu : Hw.Cpu.t) tlb pt ~va ~access_kind : (int, Hw.Cpu.fault) result =
+    let finish pte level =
+      match check_pte cpu ~va ~access:access_kind ~exec:false pte with
+      | Some f -> Error f
+      | None ->
+          let base = Hw.Addr.pa_of_pfn (Hw.Pte.pfn pte) in
+          Ok (if level = 2 then base lor (va land ((1 lsl 21) - 1)) else base lor Hw.Addr.page_offset va)
+    in
+    match tlb_lookup tlb ~pcid:cpu.pcid va with
+    | Some e ->
+        Hw.Clock.charge_id cpu.clock Hw.Clock.id_tlb_hit Hw.Cost.tlb_hit;
+        finish (Hw.Pte.make ~pfn:e.pfn ~flags:e.flags) e.level
+    | None -> (
+        match Hw.Page_table.walk pt va with
+        | exception Hw.Page_table.Translation_fault _ -> Error (Hw.Cpu.Not_present va)
+        | w ->
+            Hw.Clock.charge_id cpu.clock Hw.Clock.id_tlb_miss_walk
+              (float_of_int w.refs *. Hw.Cost.walk_mem_ref);
+            tlb_insert tlb ~pcid:cpu.pcid ~va
+              { pfn = Hw.Pte.pfn w.pte; flags = Hw.Pte.flags_of w.pte; level = w.leaf_level };
+            finish w.pte w.leaf_level)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -304,34 +382,35 @@ let bench_clock ~ops =
   in
   { ops = ops / 2 * 2; optimized; legacy }
 
-(* Translation in the TLB-hit regime: the memoized fast path vs the
-   pre-overhaul TLB front end ([set_tcache false]). *)
+(* Translation in the TLB-hit regime: [Cpu.access] over the packed TLB
+   vs the pre-overhaul front end ([Legacy.access]) on the same CPU and
+   page table. *)
 let bench_translate ~ops =
   let clk = Hw.Clock.create () in
   let cpu = Hw.Cpu.create clk in
+  let legacy_tlb = Legacy.tlb_create 1536 in
   let mem = Hw.Phys_mem.create ~frames:4096 in
   let pt = Hw.Page_table.create mem ~owner:Hw.Phys_mem.Host in
   let pages = 64 in
   for i = 0 to pages - 1 do
     ignore (Hw.Page_table.map pt ~va:(0x4000_0000 + (i * 4096)) ~pfn:(100 + i) ~flags:Hw.Pte.default_flags ())
   done;
-  let touch () =
+  let touch access () =
     for i = 0 to ops - 1 do
       let va = 0x4000_0000 + (i land (pages - 1)) * 4096 in
-      match Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read () with
-      | Ok _ -> ()
-      | Error _ -> failwith "engine bench: unexpected fault"
+      match access ~va with Ok _ -> () | Error _ -> failwith "engine bench: unexpected fault"
     done
   in
-  (* warm the TLB (and cache) so both sides sit in the hit regime *)
-  let side tcache () =
-    Hw.Cpu.set_tcache cpu tcache;
-    touch ();
-    let ns = time touch in
-    Hw.Cpu.set_tcache cpu true;
-    ns
+  (* warm the TLB so both sides sit in the hit regime *)
+  let side access () =
+    touch access ();
+    time (touch access)
   in
-  { ops; optimized = side true; legacy = side false }
+  {
+    ops;
+    optimized = side (fun ~va -> Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read ());
+    legacy = side (fun ~va -> Legacy.access cpu legacy_tlb pt ~va ~access_kind:Hw.Pks.Read);
+  }
 
 (* Min-of-N over interleaved repetitions: a host hiccup or frequency
    shift lands on one repetition of one side, not on the whole
@@ -475,7 +554,7 @@ let run ?(json = false) () =
              Report.Json.String
                "legacy = pre-overhaul hot-path equivalents measured in the same run (boxed \
                 frame records + per-frame int64 tables, boxed probe events via closure sink, \
-                string-keyed clock charges, tcache off); section timings are host wall-clock \
+                string-keyed clock charges, tuple-keyed TLB hashtable front end); section timings are host wall-clock \
                 ns/op, the minimum over interleaved optimized/legacy repetitions, with \
                 (max - min) / min over the repetitions as the spread; sharding scaling is \
                 over the simulated parallel makespan" );

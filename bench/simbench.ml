@@ -24,7 +24,8 @@ let make_tests () =
            ignore (Hw.Page_table.walk pt (0x1000_0000 + (!counter * 4096)))))
   in
   let tlb = Hw.Tlb.create () in
-  Hw.Tlb.insert tlb ~pcid:1 ~va:0x5000 { Hw.Tlb.pfn = 5; flags = Hw.Pte.default_flags; level = 1 };
+  Hw.Tlb.insert tlb ~pcid:1 ~va:0x5000 ~pfn:5
+    ~meta:(Hw.Tlb.meta_of_pte (Hw.Pte.make ~pfn:5 ~flags:Hw.Pte.default_flags) ~level:1);
   let tlb_lookup =
     Test.make ~name:"tlb.lookup" (Staged.stage (fun () -> ignore (Hw.Tlb.lookup tlb ~pcid:1 0x5000)))
   in

@@ -163,14 +163,12 @@ let attempt_cross_container_tlb_flush c ~victim_pcid =
   (* Plant a victim translation, then invlpg the same VA from the
      attacker's PCID. *)
   let va = 0x1234000 in
-  Hw.Tlb.insert tlb ~pcid:victim_pcid ~va
-    { Hw.Tlb.pfn = 42; flags = Hw.Pte.default_flags; level = 1 };
+  Hw.Tlb.insert tlb ~pcid:victim_pcid ~va ~pfn:42
+    ~meta:(Hw.Tlb.meta_of_pte (Hw.Pte.make ~pfn:42 ~flags:Hw.Pte.default_flags) ~level:1);
   (match Hw.Cpu.exec_priv cpu (Hw.Priv.Invlpg va) with
   | Ok () -> ()
   | Error _ -> ());
-  match Hw.Tlb.lookup tlb ~pcid:victim_pcid va with
-  | Some _ -> Blocked "PCID-confined invlpg"
-  | None -> Succeeded
+  if Hw.Tlb.lookup tlb ~pcid:victim_pcid va >= 0 then Blocked "PCID-confined invlpg" else Succeeded
 
 (* A12. Touch the per-vCPU area (secure stacks / saved contexts). *)
 let attempt_pervcpu_read c =

@@ -69,17 +69,22 @@ let test_nested_interrupts_pkrs_stack () =
   Hw.Cpu.exec_priv_exn cpu Hw.Priv.Iret;
   check_int "outer restores guest" Hw.Pks.pkrs_guest cpu.Hw.Cpu.pkrs
 
+(* Inserts interleaved with invlpg / flush_pcid: eviction must count
+   only live entries, so the bound holds after invalidations too. *)
 let prop_tlb_never_exceeds_capacity =
-  QCheck.Test.make ~name:"tlb stays within capacity" ~count:50
-    QCheck.(small_list (pair (int_bound 3) (int_bound 500)))
+  QCheck.Test.make ~name:"tlb stays within capacity" ~count:200
+    QCheck.(small_list (triple (int_bound 9) (int_bound 3) (int_bound 40)))
     (fun ops ->
       let t = Hw.Tlb.create ~capacity:16 () in
-      List.iter
-        (fun (pcid, vpn) ->
-          Hw.Tlb.insert t ~pcid ~va:(vpn * 4096)
-            { Hw.Tlb.pfn = vpn; flags = Hw.Pte.default_flags; level = 1 })
-        ops;
-      Hw.Tlb.size t <= 16)
+      let meta = Hw.Tlb.meta_of_pte (Hw.Pte.make ~pfn:0 ~flags:Hw.Pte.default_flags) ~level:1 in
+      List.for_all
+        (fun (op, pcid, vpn) ->
+          (match op with
+          | 0 | 1 -> Hw.Tlb.invlpg t ~pcid (vpn * 4096)
+          | 2 -> Hw.Tlb.flush_pcid t ~pcid
+          | _ -> Hw.Tlb.insert t ~pcid ~va:(vpn * 4096) ~pfn:vpn ~meta);
+          Hw.Tlb.size t <= 16)
+        ops)
 
 let prop_index_at_level_reconstructs =
   QCheck.Test.make ~name:"page-table indices reconstruct the vpn" ~count:300

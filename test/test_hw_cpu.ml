@@ -8,33 +8,35 @@ let check_bool = check bool
 
 (* ------------------------------- Tlb ------------------------------ *)
 
-let entry pfn = { Hw.Tlb.pfn; flags = Hw.Pte.default_flags; level = 1 }
+let insert ?(level = 1) t ~pcid ~va pfn =
+  Hw.Tlb.insert t ~pcid ~va ~pfn
+    ~meta:(Hw.Tlb.meta_of_pte (Hw.Pte.make ~pfn ~flags:Hw.Pte.default_flags) ~level)
 
 let test_tlb_hit_miss () =
   let t = Hw.Tlb.create ~capacity:4 () in
-  check_bool "cold miss" true (Hw.Tlb.lookup t ~pcid:1 0x1000 = None);
-  Hw.Tlb.insert t ~pcid:1 ~va:0x1000 (entry 7);
+  check_int "cold miss" (-1) (Hw.Tlb.lookup t ~pcid:1 0x1000);
+  insert t ~pcid:1 ~va:0x1000 7;
   (match Hw.Tlb.lookup t ~pcid:1 0x1abc with
-  | Some e -> check_int "hit pfn" 7 e.Hw.Tlb.pfn
-  | None -> fail "expected hit");
+  | -1 -> fail "expected hit"
+  | w -> check_int "hit pfn" 7 (Hw.Tlb.entry w).pfn);
   check_int "hits" 1 (Hw.Tlb.hits t);
   check_int "misses" 1 (Hw.Tlb.misses t)
 
 let test_tlb_pcid_isolation () =
   let t = Hw.Tlb.create () in
-  Hw.Tlb.insert t ~pcid:1 ~va:0x1000 (entry 7);
-  check_bool "other pcid misses" true (Hw.Tlb.lookup t ~pcid:2 0x1000 = None);
+  insert t ~pcid:1 ~va:0x1000 7;
+  check_int "other pcid misses" (-1) (Hw.Tlb.lookup t ~pcid:2 0x1000);
   (* invlpg in pcid 2 must not remove pcid 1's entry *)
   Hw.Tlb.invlpg t ~pcid:2 0x1000;
-  check_bool "pcid 1 survives" true (Hw.Tlb.lookup t ~pcid:1 0x1000 <> None);
+  check_bool "pcid 1 survives" true (Hw.Tlb.lookup t ~pcid:1 0x1000 >= 0);
   Hw.Tlb.invlpg t ~pcid:1 0x1000;
-  check_bool "pcid 1 flushed" true (Hw.Tlb.lookup t ~pcid:1 0x1000 = None)
+  check_int "pcid 1 flushed" (-1) (Hw.Tlb.lookup t ~pcid:1 0x1000)
 
 let test_tlb_flush_pcid () =
   let t = Hw.Tlb.create () in
-  Hw.Tlb.insert t ~pcid:1 ~va:0x1000 (entry 1);
-  Hw.Tlb.insert t ~pcid:1 ~va:0x2000 (entry 2);
-  Hw.Tlb.insert t ~pcid:2 ~va:0x3000 (entry 3);
+  insert t ~pcid:1 ~va:0x1000 1;
+  insert t ~pcid:1 ~va:0x2000 2;
+  insert t ~pcid:2 ~va:0x3000 3;
   Hw.Tlb.flush_pcid t ~pcid:1;
   check_int "pcid1 empty" 0 (Hw.Tlb.entries_for t ~pcid:1);
   check_int "pcid2 intact" 1 (Hw.Tlb.entries_for t ~pcid:2);
@@ -44,16 +46,122 @@ let test_tlb_flush_pcid () =
 let test_tlb_capacity () =
   let t = Hw.Tlb.create ~capacity:8 () in
   for i = 0 to 63 do
-    Hw.Tlb.insert t ~pcid:1 ~va:(i * 4096) (entry i)
+    insert t ~pcid:1 ~va:(i * 4096) i
   done;
   check_bool "bounded" true (Hw.Tlb.size t <= 8)
 
 let test_tlb_huge_entry () =
   let t = Hw.Tlb.create () in
-  Hw.Tlb.insert t ~pcid:1 ~va:0x40000000 { Hw.Tlb.pfn = 99; flags = Hw.Pte.default_flags; level = 2 };
-  (match Hw.Tlb.lookup t ~pcid:1 (0x40000000 + (17 * 4096)) with
-  | Some e -> check_int "huge covers 2M" 99 e.Hw.Tlb.pfn
-  | None -> fail "expected huge hit")
+  insert ~level:2 t ~pcid:1 ~va:0x40000000 99;
+  match Hw.Tlb.lookup t ~pcid:1 (0x40000000 + (17 * 4096)) with
+  | -1 -> fail "expected huge hit"
+  | w -> check_int "huge covers 2M" 99 (Hw.Tlb.entry w).pfn
+
+(* Drive [Hw.Tlb] and [List_tlb] with one seeded stream of insert /
+   replace / lookup / invlpg / flush_pcid / flush_all calls over four
+   PCIDs and 4 KiB and 2 MiB entries, and require the same state from
+   both: the same lookup answer (pfn and flags), and after every step
+   the same hit and miss counts, size and cached contents.  Inserts
+   outnumber invalidations so the TLB fills and evicts. *)
+let tlb_differential ~capacity ~seed ~steps =
+  let t = Hw.Tlb.create ~capacity () and r = List_tlb.create ~capacity () in
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  let span = 2 * capacity + 8 in
+  let any_va () = (((pick 4 * 512) + pick span) * 4096) + pick 4096 in
+  let recent = Array.make 64 (0, 0) in
+  let remember pcid va = recent.(pick 64) <- (pcid, va) in
+  let known () = if pick 4 = 0 then (pick 4, any_va ()) else recent.(pick 64) in
+  let insert pcid va =
+    let level = if pick 8 = 0 then 2 else 1 in
+    let flags =
+      {
+        Hw.Pte.writable = pick 2 = 0;
+        user = pick 2 = 0;
+        nx = pick 4 = 0;
+        huge = level = 2;
+        pkey = pick 16;
+      }
+    in
+    let pfn = pick 100_000 in
+    Hw.Tlb.insert t ~pcid ~va ~pfn ~meta:(Hw.Tlb.meta_of_pte (Hw.Pte.make ~pfn ~flags) ~level);
+    List_tlb.insert r ~pcid ~va { List_tlb.pfn; flags; level };
+    remember pcid va;
+    Printf.sprintf "insert pcid %d va %x pfn %d level %d" pcid va pfn level
+  in
+  let view pfn (f : Hw.Pte.flags) level =
+    Printf.sprintf "pfn %d w%b u%b nx%b huge%b key %d level %d" pfn f.writable f.user f.nx f.huge f.pkey
+      level
+  in
+  (* Same sizes, and every entry of [t] cached alike in [r]. *)
+  let same_contents () =
+    Hw.Tlb.size t = List_tlb.size r
+    && Hw.Tlb.fold t
+         (fun ok ~pcid ~vpn (e : Hw.Tlb.entry) ->
+           ok
+           &&
+           match Hashtbl.find_opt r.List_tlb.table (pcid, vpn) with
+           | Some x -> x.pfn = e.pfn && x.flags = e.flags && x.level = e.level
+           | None -> false)
+         true
+  in
+  for step = 1 to steps do
+    let where = Printf.sprintf "capacity %d seed %d step %d" capacity seed step in
+    let k = pick 20 in
+    let op =
+      if k < 8 then insert (pick 4) (any_va ())
+      else if k < 10 then
+        let pcid, va = known () in
+        "re" ^ insert pcid va
+      else if k < 16 then begin
+        let pcid, va = known () in
+        let got =
+          match Hw.Tlb.lookup t ~pcid va with
+          | -1 -> "miss"
+          | w ->
+              let e = Hw.Tlb.entry w in
+              view e.pfn e.flags e.level
+        and want =
+          match List_tlb.lookup r ~pcid va with
+          | None -> "miss"
+          | Some e -> view e.pfn e.flags e.level
+        in
+        if got <> want then failf "%s: lookup pcid %d va %x: want %s, got %s" where pcid va want got;
+        "lookup"
+      end
+      else if k < 19 then begin
+        let pcid, va = known () in
+        Hw.Tlb.invlpg t ~pcid va;
+        List_tlb.invlpg r ~pcid va;
+        Printf.sprintf "invlpg pcid %d va %x" pcid va
+      end
+      else if pick (capacity + 10) = 0 then begin
+        Hw.Tlb.flush_all t;
+        List_tlb.flush_all r;
+        "flush_all"
+      end
+      else if pick (capacity / 4 + 2) = 0 then begin
+        let pcid = pick 4 in
+        Hw.Tlb.flush_pcid t ~pcid;
+        List_tlb.flush_pcid r ~pcid;
+        Printf.sprintf "flush_pcid %d" pcid
+      end
+      else "nop"
+    in
+    let expect what want got = if want <> got then failf "%s (%s): %s %d, want %d" where op what got want in
+    expect "hits" (List_tlb.hits r) (Hw.Tlb.hits t);
+    expect "misses" (List_tlb.misses r) (Hw.Tlb.misses t);
+    expect "size" (List_tlb.size r) (Hw.Tlb.size t);
+    (* A full 1536-entry TLB is compared every 32nd step. *)
+    if (capacity <= 64 || step mod 32 = 0 || step = steps) && not (same_contents ()) then
+      failf "%s (%s): cached contents differ" where op
+  done
+
+let test_tlb_matches_reference () =
+  List.iter
+    (fun (capacity, steps) ->
+      List.iter (fun seed -> tlb_differential ~capacity ~seed ~steps) [ 1; 2; 3 ])
+    [ (4, 1500); (16, 1500); (1536, 6000) ]
 
 (* ------------------------------- Pks ------------------------------ *)
 
@@ -332,6 +440,7 @@ let suite =
         test_case "flush pcid / all" `Quick test_tlb_flush_pcid;
         test_case "capacity bound" `Quick test_tlb_capacity;
         test_case "2 MiB entries" `Quick test_tlb_huge_entry;
+        test_case "matches list reference" `Quick test_tlb_matches_reference;
       ] );
     ( "hw/pks",
       [
