@@ -8,8 +8,8 @@ let () =
   Printf.printf "== Iterative pre-copy: the source serves while frames ship ==\n\n";
   Printf.printf
     "Round 0 ships a consistent checkpoint while the app keeps writing;\n\
-     every writable page is then write-protected through the KSM (with a\n\
-     full TLB shootdown) so writes fault into a dirty log.  Each round\n\
+     every writable page is then write-protected through the KSM (and\n\
+     its translation flushed) so writes fault into a dirty log.  Each round\n\
      re-sends only what the previous round's wire time let the app dirty —\n\
      the dirty set shrinks geometrically until only a handful of frames\n\
      ship inside the blackout.\n\n";

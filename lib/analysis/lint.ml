@@ -35,22 +35,6 @@ let subject = function
       Printf.sprintf "queue %s" queue
   | Trace_truncated _ -> "recorder"
 
-(* The shootdown rule needs the fill/invalidate history per (cpu, pcid)
-   and the container -> pcid correlation from Container_boot events. *)
-type shootdown_state = {
-  c2p : (int, int) Hashtbl.t;  (** container -> pcid *)
-  fills : (int * int, (int, unit) Hashtbl.t) Hashtbl.t;  (** (cpu, pcid) -> cached vpns *)
-  pending : (int * int * int, int) Hashtbl.t;  (** (cpu, pcid, vpn) -> container *)
-}
-
-let fills_of st key =
-  match Hashtbl.find_opt st.fills key with
-  | Some s -> s
-  | None ->
-      let s = Hashtbl.create 64 in
-      Hashtbl.replace st.fills key s;
-      s
-
 let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
   let out = ref [] in
   let add f = out := f :: !out in
@@ -58,7 +42,18 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
      alongside the drop count so a clean verdict on a truncated trace
      is visibly weaker than one on a complete trace. *)
   let withdrawn = ref 0 in
-  let st = { c2p = Hashtbl.create 8; fills = Hashtbl.create 16; pending = Hashtbl.create 16 } in
+  (* The shootdown rule: cached vpns per (cpu, pcid), and downgraded
+     cached vpns not yet invalidated, (cpu, pcid, vpn) -> container. *)
+  let fills : (int * int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let pending : (int * int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let fills_of key =
+    match Hashtbl.find_opt fills key with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.create 64 in
+        Hashtbl.replace fills key s;
+        s
+  in
   (* Per-CPU gate nesting depth, for the wrpkrs-outside-gate rule. *)
   let depth : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let get_depth cpu = Option.value (Hashtbl.find_opt depth cpu) ~default:0 in
@@ -70,8 +65,8 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
      used entries). *)
   let last_used : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let resolve_vpn ~cpu ~pcid vpn =
-    Hashtbl.remove st.pending (cpu, pcid, vpn);
-    (match Hashtbl.find_opt st.fills (cpu, pcid) with
+    Hashtbl.remove pending (cpu, pcid, vpn);
+    (match Hashtbl.find_opt fills (cpu, pcid) with
     | Some s -> Hashtbl.remove s vpn
     | None -> ())
   in
@@ -108,36 +103,31 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
             ((not hardware) && pkrs_after <> pkrs_before)
             || (hardware && pks_switch && pkrs_after <> 0)
           then add (Forged_pks_switch { cpu; vector; pkrs_before; pkrs_after })
-      | Hw.Probe.Container_boot { container; pcid } -> Hashtbl.replace st.c2p container pcid
       | Hw.Probe.Tlb_fill { cpu; pcid; vpn; _ } ->
-          Hashtbl.replace (fills_of st (cpu, pcid)) vpn ();
+          Hashtbl.replace (fills_of (cpu, pcid)) vpn ();
           (* A re-fill re-derives the translation from the live tables:
              the stale entry is gone. *)
-          Hashtbl.remove st.pending (cpu, pcid, vpn)
+          Hashtbl.remove pending (cpu, pcid, vpn)
       | Hw.Probe.Tlb_invlpg { cpu; pcid; vpn } ->
           resolve_vpn ~cpu ~pcid vpn;
           resolve_vpn ~cpu ~pcid (vpn land lnot 511)
       | Hw.Probe.Tlb_flush_pcid { cpu; pcid } ->
-          (match Hashtbl.find_opt st.fills (cpu, pcid) with
+          (match Hashtbl.find_opt fills (cpu, pcid) with
           | Some s -> Hashtbl.reset s
           | None -> ());
           Hashtbl.iter
-            (fun (c, p, v) _ -> if c = cpu && p = pcid then Hashtbl.remove st.pending (c, p, v))
-            (Hashtbl.copy st.pending)
-      | Hw.Probe.Pte_downgrade { container; vpn; _ } -> (
-          match Hashtbl.find_opt st.c2p container with
-          | None -> ()
-          | Some pcid ->
-              let huge_vpn = vpn land lnot 511 in
-              Hashtbl.iter
-                (fun (cpu, p) cached ->
-                  if p = pcid then begin
-                    if Hashtbl.mem cached vpn then
-                      Hashtbl.replace st.pending (cpu, pcid, vpn) container;
-                    if huge_vpn <> vpn && Hashtbl.mem cached huge_vpn then
-                      Hashtbl.replace st.pending (cpu, pcid, huge_vpn) container
-                  end)
-                st.fills)
+            (fun (c, p, v) _ -> if c = cpu && p = pcid then Hashtbl.remove pending (c, p, v))
+            (Hashtbl.copy pending)
+      | Hw.Probe.Pte_downgrade { container; pcid; vpn; _ } ->
+          let huge_vpn = vpn land lnot 511 in
+          Hashtbl.iter
+            (fun (cpu, p) cached ->
+              if p = pcid then begin
+                if Hashtbl.mem cached vpn then Hashtbl.replace pending (cpu, pcid, vpn) container;
+                if huge_vpn <> vpn && Hashtbl.mem cached huge_vpn then
+                  Hashtbl.replace pending (cpu, pcid, huge_vpn) container
+              end)
+            fills
       | Hw.Probe.Io_doorbell { queue; avail_idx; in_flight } ->
           (* A doorbell with no new avail entries: phantom kick — either
              a wasted exit or a probe of the host's service path. *)
@@ -162,7 +152,7 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
   (* Verdicts for whatever is still outstanding. *)
   Hashtbl.iter
     (fun (cpu, pcid, vpn) container -> add (Missing_shootdown { container; cpu; pcid; vpn }))
-    st.pending;
+    pending;
   Hashtbl.iter
     (fun cpu values -> List.iter (fun value -> add (Wrpkrs_outside_gate { cpu; value })) values)
     wrpkrs_cands;

@@ -117,6 +117,9 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       pte_protect =
         (fun id ~va ~writable ->
           ksm_exn "guest_protect" (Ksm.guest_protect ksm ~root:(root_of id) ~va ~writable));
+      (* Native and PCID-confined (Table 3); vCPU 0 runs every guest
+         address space. *)
+      tlb_flush = (fun va -> Hw.Cpu.exec_priv_exn (vcpu0 ()) (Hw.Priv.Invlpg va));
       fault_round_trip =
         (fun () ->
           (* The guest kernel fields the fault itself; returning to the
@@ -184,24 +187,20 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       guest_user_kernel_isolated = true;
     }
   in
-  let t =
-    {
-      backend;
-      host;
-      ksm;
-      gates;
-      cpus;
-      buddy;
-      cfg;
-      container_id;
-      pcid;
-      current_vcpu = 0;
-      aspaces;
-      next_as;
-    }
-  in
-  if Hw.Probe.active () then Hw.Probe.emit (Hw.Probe.Container_boot { container = container_id; pcid });
-  t
+  {
+    backend;
+    host;
+    ksm;
+    gates;
+    cpus;
+    buddy;
+    cfg;
+    container_id;
+    pcid;
+    current_vcpu = 0;
+    aspaces;
+    next_as;
+  }
 
 let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) : t =
   let machine = Host.machine host in
@@ -213,7 +212,7 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
      first-fit, possibly several chunks under scatter.  The KSM's
      direct map and the buddy's zones both take the same list. *)
   let segments = Host.delegate host ~container:container_id ~frames:cfg.Config.segment_frames in
-  let ksm = Ksm.create mem clock ~container_id ~cfg ~segments in
+  let ksm = Ksm.create mem clock ~container_id ~pcid ~cfg ~segments in
   let buddy = Kernel_model.Buddy.create_zones ~segments in
   let aspaces = Hashtbl.create 16 in
   let next_as = ref 0 in

@@ -42,6 +42,7 @@ type error =
 
 type t = {
   container_id : int;
+  pcid : int;  (** the container's PCID, named in downgrade probe events *)
   mem : Hw.Phys_mem.t;
   clock : Hw.Clock.t;
   cfg : Config.t;
@@ -172,12 +173,13 @@ let build_idt idt =
     [ Hw.Idt.vec_page_fault; Hw.Idt.vec_gp_fault ];
   Hw.Idt.lock idt
 
-let create mem clock ~container_id ~cfg ~segments =
+let create mem clock ~container_id ~pcid ~cfg ~segments =
   let vcpus = cfg.Config.vcpus in
   let pervcpu = Pervcpu.create mem ~container_id ~vcpus in
   let t =
     {
       container_id;
+      pcid;
       mem;
       clock;
       cfg;
@@ -261,10 +263,11 @@ type import = {
 
 let id_restore_table = Hw.Clock.intern "snapshot_restore_table"
 
-let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
+let restore mem clock ~container_id ~pcid ~cfg ~pervcpu (imp : import) =
   let t =
     {
       container_id;
+      pcid;
       mem;
       clock;
       cfg;
@@ -352,11 +355,11 @@ let traced t ~op (r : ('a, error) result) : ('a, error) result =
          { container = t.container_id; op; ok = (match r with Ok _ -> true | Error _ -> false) });
   r
 
-let trace_downgrade t ~root ~va ~unmapped =
+let trace_downgrade t ~va ~unmapped =
   if Hw.Probe.active () then
     Hw.Probe.emit
       (Hw.Probe.Pte_downgrade
-         { container = t.container_id; root; vpn = Hw.Addr.vpn_of_va va; unmapped })
+         { container = t.container_id; pcid = t.pcid; vpn = Hw.Addr.vpn_of_va va; unmapped })
 
 (* Declare [pfn] as a PTP at [level] (invariants I1 + I2). *)
 let declare_ptp t ~pfn ~level : (unit, error) result =
@@ -473,7 +476,7 @@ let guest_unmap t ~root ~va : (unit, error) result =
       if not (Hw.Pte.is_present e) then ()
       else if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then begin
         write_raw t ~pfn:table ~index:idx Hw.Pte.empty;
-        trace_downgrade t ~root ~va ~unmapped:true;
+        trace_downgrade t ~va ~unmapped:true;
         if lvl = 4 then propagate_top t ~root ~idx Hw.Pte.empty
       end
       else go (lvl - 1) (Hw.Pte.pfn e)
@@ -493,7 +496,7 @@ let guest_protect t ~root ~va ~writable : (unit, error) result =
       if not (Hw.Pte.is_present e) then ()
       else if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then begin
         if (not writable) && Hw.Pte.is_writable e then
-          trace_downgrade t ~root ~va ~unmapped:false;
+          trace_downgrade t ~va ~unmapped:false;
         write_raw t ~pfn:table ~index:idx (Hw.Pte.with_writable e writable)
       end
       else go (lvl - 1) (Hw.Pte.pfn e)

@@ -44,6 +44,7 @@ val create :
   Hw.Phys_mem.t ->
   Hw.Clock.t ->
   container_id:int ->
+  pcid:int ->
   cfg:Config.t ->
   segments:(Hw.Addr.pfn * int) list ->
   t
@@ -71,6 +72,7 @@ val restore :
   Hw.Phys_mem.t ->
   Hw.Clock.t ->
   container_id:int ->
+  pcid:int ->
   cfg:Config.t ->
   pervcpu:Pervcpu.t ->
   import ->

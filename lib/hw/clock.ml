@@ -37,6 +37,7 @@ let find name = match Names.find name (Atomic.get registry).ids with id -> id | 
 
 let id_tlb_hit = intern "tlb_hit"
 let id_tlb_miss_walk = intern "tlb_miss_walk"
+let id_invlpg = intern "invlpg"
 let id_virtio_copy = intern "virtio_copy"
 let id_virtio_post = intern "virtio_post"
 let id_virtio_service = intern "virtio_service"

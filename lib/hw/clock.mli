@@ -30,6 +30,7 @@ val intern : string -> int
 
 val id_tlb_hit : int
 val id_tlb_miss_walk : int
+val id_invlpg : int
 val id_virtio_copy : int
 val id_virtio_post : int
 val id_virtio_service : int

@@ -59,7 +59,6 @@ let create ?(id = 0) clock =
   }
 
 let id_cr3_switch = Clock.intern "cr3_switch"
-let id_invlpg = Clock.intern "invlpg"
 let id_syscall_entry_exit = Clock.intern "syscall_entry_exit"
 
 (* Load CR3 (+PCID) without flushing other PCIDs' TLB entries. *)
@@ -73,31 +72,32 @@ let load_cr3 t ~root ~pcid =
 (* Privileged-instruction execution (extension E2)                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Top level, not a per-call closure: [exec_priv] allocates nothing. *)
+let trace_priv t inst ~blocked =
+  if Probe.active () then
+    Probe.emit
+      (Probe.Priv_exec
+         {
+           cpu = t.id;
+           mnemonic = Priv.mnemonic inst;
+           destructive = Priv.blocked_in_guest inst;
+           pkrs = t.pkrs;
+           blocked;
+         })
+
 let exec_priv t (inst : Priv.t) : (unit, fault) result =
-  let trace ~blocked =
-    if Probe.active () then
-      Probe.emit
-        (Probe.Priv_exec
-           {
-             cpu = t.id;
-             mnemonic = Priv.mnemonic inst;
-             destructive = Priv.blocked_in_guest inst;
-             pkrs = t.pkrs;
-             blocked;
-           })
-  in
   if t.mode <> Kernel then Error (Not_kernel_mode inst)
   else if
     t.pkrs <> Pks.all_access
     && Mutation.e2_blocks ~mnemonic:(Priv.mnemonic inst)
          ~policy_blocked:(Priv.blocked_in_guest inst)
   then begin
-    trace ~blocked:true;
+    trace_priv t inst ~blocked:true;
     Clock.count t.clock "priv_inst_blocked";
     Error (Blocked_instruction inst)
   end
   else begin
-    trace ~blocked:false;
+    trace_priv t inst ~blocked:false;
     (match inst with
     | Priv.Wrpkrs r ->
         t.pkrs <- r;
@@ -121,7 +121,7 @@ let exec_priv t (inst : Priv.t) : (unit, fault) result =
         Tlb.invlpg t.tlb ~pcid:t.pcid va;
         if Probe.active () then
           Probe.emit (Probe.Tlb_invlpg { cpu = t.id; pcid = t.pcid; vpn = Addr.vpn_of_va va });
-        Clock.charge_id t.clock id_invlpg Cost.invlpg
+        Clock.charge_id t.clock Clock.id_invlpg Cost.invlpg
     | Priv.Invpcid ->
         Tlb.flush_pcid t.tlb ~pcid:t.pcid;
         if Probe.active () then Probe.emit (Probe.Tlb_flush_pcid { cpu = t.id; pcid = t.pcid })

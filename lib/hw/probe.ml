@@ -52,8 +52,7 @@ type event =
   | Cr3_load of { cpu : int; pcid : int; root : int }
   | Pks_denied of { key : int; write : bool }
   | Ksm_op of { container : int; op : string; ok : bool }
-  | Pte_downgrade of { container : int; root : int; vpn : int; unmapped : bool }
-  | Container_boot of { container : int; pcid : int }
+  | Pte_downgrade of { container : int; pcid : int; vpn : int; unmapped : bool }
   | Mm_op of { op : string; vpn : int; pages : int }
   | Io_doorbell of { queue : string; avail_idx : int; in_flight : int }
   | Io_completion of { queue : string; used_idx : int; serviced : int }
@@ -171,14 +170,13 @@ let tag_cr3_load = 10
 let tag_pks_denied = 11
 let tag_ksm_op = 12
 let tag_pte_downgrade = 13
-let tag_container_boot = 14
-let tag_mm_op = 15
-let tag_io_doorbell = 16
-let tag_io_completion = 17
-let tag_mem_read = 18
-let tag_mem_write = 19
-let tag_domain_spawn = 20
-let tag_domain_join = 21
+let tag_mm_op = 14
+let tag_io_doorbell = 15
+let tag_io_completion = 16
+let tag_mem_read = 17
+let tag_mem_write = 18
+let tag_domain_spawn = 19
+let tag_domain_join = 20
 
 let gate_code = function Ksm_call_gate -> 0 | Hypercall_gate -> 1 | Interrupt_gate -> 2
 let gate_of_code = function 0 -> Ksm_call_gate | 1 -> Hypercall_gate | _ -> Interrupt_gate
@@ -242,9 +240,8 @@ let ring_record_tagged r ~dom ev =
   | Pks_denied { key; write } -> store4 r dom tag_pks_denied key (bool_code write) 0
   | Ksm_op { container; op; ok } ->
       store4 r dom tag_ksm_op container (intern r op) (bool_code ok)
-  | Pte_downgrade { container; root; vpn; unmapped } ->
-      store6 r dom tag_pte_downgrade container root vpn (bool_code unmapped) 0
-  | Container_boot { container; pcid } -> store4 r dom tag_container_boot container pcid 0
+  | Pte_downgrade { container; pcid; vpn; unmapped } ->
+      store6 r dom tag_pte_downgrade container pcid vpn (bool_code unmapped) 0
   | Mm_op { op; vpn; pages } -> store4 r dom tag_mm_op (intern r op) vpn pages
   | Io_doorbell { queue; avail_idx; in_flight } ->
       store4 r dom tag_io_doorbell (intern r queue) avail_idx in_flight
@@ -291,15 +288,14 @@ let decode r i =
   | 10 -> Cr3_load { cpu = a; pcid = b; root = c }
   | 11 -> Pks_denied { key = a; write = b = 1 }
   | 12 -> Ksm_op { container = a; op = r.strings.(b); ok = c = 1 }
-  | 13 -> Pte_downgrade { container = a; root = b; vpn = c; unmapped = d = 1 }
-  | 14 -> Container_boot { container = a; pcid = b }
-  | 15 -> Mm_op { op = r.strings.(a); vpn = b; pages = c }
-  | 16 -> Io_doorbell { queue = r.strings.(a); avail_idx = b; in_flight = c }
-  | 17 -> Io_completion { queue = r.strings.(a); used_idx = b; serviced = c }
-  | 18 -> Mem_read { mem = a; pfn = b }
-  | 19 -> Mem_write { mem = a; pfn = b }
-  | 20 -> Domain_spawn { parent = a; child = b }
-  | 21 -> Domain_join { parent = a; child = b }
+  | 13 -> Pte_downgrade { container = a; pcid = b; vpn = c; unmapped = d = 1 }
+  | 14 -> Mm_op { op = r.strings.(a); vpn = b; pages = c }
+  | 15 -> Io_doorbell { queue = r.strings.(a); avail_idx = b; in_flight = c }
+  | 16 -> Io_completion { queue = r.strings.(a); used_idx = b; serviced = c }
+  | 17 -> Mem_read { mem = a; pfn = b }
+  | 18 -> Mem_write { mem = a; pfn = b }
+  | 19 -> Domain_spawn { parent = a; child = b }
+  | 20 -> Domain_join { parent = a; child = b }
   | t -> invalid_arg (Printf.sprintf "Probe.ring: corrupt tag %d" t)
 
 let decode_dom r i = r.buf.(offset r i + 7)

@@ -50,11 +50,10 @@ type event =
   | Ksm_op of { container : int; op : string; ok : bool }
   | Pte_downgrade of {
       container : int;
-      root : int;
+      pcid : int;  (** the container's PCID: whose TLB entries went stale *)
       vpn : int;
       unmapped : bool;  (** true: PTE cleared; false: write-protected *)
     }
-  | Container_boot of { container : int; pcid : int }
   | Mm_op of { op : string; vpn : int; pages : int }
   | Io_doorbell of { queue : string; avail_idx : int; in_flight : int }
       (** a VirtIO doorbell actually rang (suppressed kicks don't emit);

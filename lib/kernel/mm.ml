@@ -94,6 +94,7 @@ let restore platform ~aspace ~brk ~mmap_cursor =
 let destroy t =
   Hashtbl.iter
     (fun vpn pfn ->
+      t.platform.Platform.tlb_flush (Hw.Addr.va_of_vpn vpn);
       match Hashtbl.find_opt t.cow vpn with
       | Some { shared; own } ->
           t.release_shared shared;
@@ -136,9 +137,7 @@ let frozen_count t = Hashtbl.length t.frozen
    Write-protect-and-log, reusing the CoW write-fault shape: every
    resident page in a writable VMA gets its PTE downgraded read-only
    (through the platform, i.e. the KSM on CKI); the first write takes a
-   fault that re-arms the PTE writable and logs the vpn.  [shootdown]
-   is called once per downgraded page so the caller can invlpg every
-   vCPU — the same TLB discipline Template.freeze follows.  CoW and
+   fault that re-arms the PTE writable and logs the vpn.  CoW and
    frozen pages are already read-only and log through their own fault
    paths; pages that only become resident during the epoch are logged
    by [handle_fault] since they did not exist in the last image. *)
@@ -146,7 +145,7 @@ let frozen_count t = Hashtbl.length t.frozen
 let tracking t = t.tracking
 let dirty_count t = Hashtbl.length t.dirty
 
-let wp_page t ~shootdown vpn =
+let wp_page t vpn =
   let va = Hw.Addr.va_of_vpn vpn in
   match Vma.find t.vmas va with
   | Some area
@@ -155,18 +154,18 @@ let wp_page t ~shootdown vpn =
          && (not (Hashtbl.mem t.cow vpn))
          && not (Hashtbl.mem t.frozen vpn) ->
       t.platform.Platform.pte_protect t.aspace ~va ~writable:false;
-      shootdown va;
+      t.platform.Platform.tlb_flush va;
       Hashtbl.replace t.wp vpn ();
       true
   | _ -> false
 
-let dirty_track_start t ~shootdown =
+let dirty_track_start t =
   if t.tracking then invalid_arg "Mm.dirty_track_start: already tracking";
   t.tracking <- true;
   Hashtbl.reset t.dirty;
   let n = ref 0 in
   let vpns = Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.pages [] in
-  List.iter (fun vpn -> if wp_page t ~shootdown vpn then incr n) vpns;
+  List.iter (fun vpn -> if wp_page t vpn then incr n) vpns;
   !n
 
 let harvest_dirty t =
@@ -176,11 +175,11 @@ let harvest_dirty t =
 (* End one pre-copy round: harvest the dirty log and re-arm write
    protection on exactly those pages, so the next round only sees new
    writes. *)
-let dirty_track_round t ~shootdown =
+let dirty_track_round t =
   if not t.tracking then invalid_arg "Mm.dirty_track_round: not tracking";
   let dirty = harvest_dirty t in
   Hashtbl.reset t.dirty;
-  List.iter (fun vpn -> ignore (wp_page t ~shootdown vpn)) dirty;
+  List.iter (fun vpn -> ignore (wp_page t vpn)) dirty;
   dirty
 
 (* Stop-and-copy: harvest the final dirty set and drop every remaining
@@ -240,6 +239,7 @@ let cow_break t vpn =
           Hw.Clock.charge_id p.Platform.clock id_cow_break_copy Hw.Cost.cow_break_copy;
           p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write
             ~user:true;
+          p.Platform.tlb_flush va;
           Hashtbl.replace t.pages vpn own;
           Hashtbl.remove t.cow vpn;
           if t.tracking then Hashtbl.replace t.dirty vpn ();
@@ -271,6 +271,7 @@ let munmap t ~start ~pages =
         Hashtbl.remove t.dirty vpn;
         t.resident <- t.resident - 1;
         t.platform.Platform.pte_remove t.aspace ~va:(Hw.Addr.va_of_vpn vpn);
+        t.platform.Platform.tlb_flush (Hw.Addr.va_of_vpn vpn);
         match Hashtbl.find_opt t.cow vpn with
         | Some { shared; own } ->
             (* Un-broken CoW page: the PTE referenced the template's
@@ -303,8 +304,9 @@ let mprotect t ~start ~pages ~prot =
         Hashtbl.remove t.wp vpn;
         if t.tracking && prot.Vma.write then Hashtbl.replace t.dirty vpn ()
       end;
-      t.platform.Platform.pte_protect t.aspace ~va:(Hw.Addr.va_of_vpn vpn)
-        ~writable:prot.Vma.write
+      let va = Hw.Addr.va_of_vpn vpn in
+      t.platform.Platform.pte_protect t.aspace ~va ~writable:prot.Vma.write;
+      if not prot.Vma.write then t.platform.Platform.tlb_flush va
     end
   done
 

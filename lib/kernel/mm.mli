@@ -3,7 +3,12 @@
 
     {!touch} is the workhorse: workloads call it for every page they
     access; an unmapped page inside a VMA takes the platform's full
-    page-fault path — which is where RunC / HVM / PVM / CKI differ. *)
+    page-fault path — which is where RunC / HVM / PVM / CKI differ.
+
+    [Mm] keeps the TLB coherent: every PTE it removes, write-protects
+    or retargets (and every resident page {!destroy} drops) is flushed
+    through [Platform.tlb_flush] before its old frame is freed or its
+    template reference released. *)
 
 type t
 
@@ -64,18 +69,16 @@ val frozen_count : t -> int
 
     Write-protect-and-log epochs over the CoW write-fault path: every
     resident page of a writable VMA has its PTE downgraded read-only
-    (through the platform — the KSM on CKI); the first write takes a
-    fault that re-arms the PTE and logs the page.  [shootdown] is
-    invoked once per downgraded page so the caller can invalidate the
-    TLB of every vCPU, matching the freeze discipline the trace linter
-    enforces.  Pages that become resident or break CoW during the
+    (through the platform — the KSM on CKI) and its translation
+    flushed; the first write takes a fault that re-arms the PTE and
+    logs the page.  Pages that become resident or break CoW during the
     epoch are logged too — they are not in the last transmitted image. *)
 
-val dirty_track_start : t -> shootdown:(Hw.Addr.va -> unit) -> int
+val dirty_track_start : t -> int
 (** Begin an epoch; returns the number of pages write-protected.
     @raise Invalid_argument if already tracking. *)
 
-val dirty_track_round : t -> shootdown:(Hw.Addr.va -> unit) -> Hw.Addr.vpn list
+val dirty_track_round : t -> Hw.Addr.vpn list
 (** Harvest the dirty log (sorted), re-protect exactly those pages and
     clear the log — one pre-copy round boundary. *)
 

@@ -29,6 +29,7 @@ type t = {
   pte_install : aspace -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> writable:bool -> user:bool -> unit;
   pte_remove : aspace -> va:Hw.Addr.va -> unit;
   pte_protect : aspace -> va:Hw.Addr.va -> writable:bool -> unit;
+  tlb_flush : Hw.Addr.va -> unit;  (** flush one page's translation *)
   (* -------- fault & syscall paths -------- *)
   fault_round_trip : unit -> unit;
       (** charge everything a user page fault pays besides the kernel's
@@ -88,6 +89,7 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
              ()));
     pte_remove = (fun id ~va -> ignore (Hw.Page_table.unmap (pt_of id) va));
     pte_protect = (fun id ~va ~writable -> Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable));
+    tlb_flush = (fun _ -> Hw.Clock.charge_id clock Hw.Clock.id_invlpg Hw.Cost.invlpg);
     fault_round_trip = (fun () -> ());
     fault_service_ns = Hw.Cost.pf_handler_native;
     syscall_round_trip =

@@ -24,6 +24,9 @@ type t = {
   pte_install : aspace -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> writable:bool -> user:bool -> unit;
   pte_remove : aspace -> va:Hw.Addr.va -> unit;
   pte_protect : aspace -> va:Hw.Addr.va -> writable:bool -> unit;
+  tlb_flush : Hw.Addr.va -> unit;
+      (** flush one page's translation; {!Mm} calls it after every PTE
+          it removes, write-protects or retargets *)
   fault_round_trip : unit -> unit;
       (** everything a user page fault pays besides the kernel's own
           service work (VM exits, SPT emulation, KSM calls...) *)

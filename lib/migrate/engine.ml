@@ -9,9 +9,8 @@
       keeps serving; the checkpoint doubles as the failover point if
       the source host dies mid-migration.
    2. Start a dirty-tracking epoch (Mm.dirty_track_start): every
-      resident writable page is write-protected through the KSM path
-      with a full TLB shootdown — the same downgrade discipline
-      Template.freeze uses, so the trace linter stays clean.
+      resident writable page is write-protected through the KSM path,
+      and Mm flushes its translation, so the trace linter stays clean.
    3. Rounds: run the caller's [work] (the source serving traffic) for
       a time budget equal to the previous transfer's wire time, harvest
       the dirty set, ship [dirty * page_size] bytes.  The budget
@@ -89,21 +88,16 @@ exception Fail of error
 
 let tasks c = Kernel_model.Kernel.tasks c.Cki.Container.backend.Virt.Backend.kernel
 
-let shootdown_of c va =
-  Array.iter (fun cpu -> Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va)) c.Cki.Container.cpus
-
 let track_start c =
   List.fold_left
     (fun n (t : Kernel_model.Task.t) ->
-      n + Kernel_model.Mm.dirty_track_start t.Kernel_model.Task.mm ~shootdown:(shootdown_of c))
+      n + Kernel_model.Mm.dirty_track_start t.Kernel_model.Task.mm)
     0 (tasks c)
 
 let track_round c =
   List.fold_left
     (fun n (t : Kernel_model.Task.t) ->
-      n
-      + List.length
-          (Kernel_model.Mm.dirty_track_round t.Kernel_model.Task.mm ~shootdown:(shootdown_of c)))
+      n + List.length (Kernel_model.Mm.dirty_track_round t.Kernel_model.Task.mm))
     0 (tasks c)
 
 let track_finish c =

@@ -4,8 +4,8 @@
     The protocol: quiesce and capture a consistent checkpoint, ship it
     whole while the source keeps serving (round 0); start a
     dirty-tracking epoch ({!Kernel_model.Mm.dirty_track_start} — every
-    writable resident page write-protected through the KSM with a full
-    TLB shootdown); run rounds of [work] (source serving for the
+    writable resident page write-protected through the KSM and its
+    translation flushed); run rounds of [work] (source serving for the
     previous transfer's wire time) + harvest + ship dirty frames until
     the dirty set converges or the round cap fires; then stop-and-copy:
     freeze the endpoint, end the epoch, capture the final image, ship

@@ -131,7 +131,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
          image.Image.pervcpu)
   in
   let ksm =
-    Cki.Ksm.restore mem clock ~container_id ~cfg ~pervcpu
+    Cki.Ksm.restore mem clock ~container_id ~pcid ~cfg ~pervcpu
       {
         Cki.Ksm.i_segments =
           Array.to_list (Array.mapi (fun i base -> (base, image.Image.segments.(i))) bases);

@@ -6,9 +6,9 @@
 
    - every resident user page is downgraded to read-only through the
      KSM path, in both the task's address space and the guest kernel's
-     direct map (the writable alias), with an INVLPG on every vCPU for
-     both virtual addresses — the same downgrade+shootdown discipline
-     the lint engine enforces everywhere else;
+     direct map (the writable alias), and both virtual addresses are
+     flushed through the platform's [tlb_flush], as Mm flushes its own
+     downgrades;
    - the page's frame and the guest kernel image's frames are marked
      shared ([Phys_mem.set_shared_ro]), which pins them: the allocator
      refuses to free a shared frame while references remain.
@@ -43,9 +43,7 @@ let freeze (c : Cki.Container.t) (image : Image.t) (map : Capture.map) =
   let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
   let kroot = Cki.Ksm.kernel_root ksm in
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
-  let invlpg_all va =
-    Array.iter (fun cpu -> Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va)) c.Cki.Container.cpus
-  in
+  let flush = c.Cki.Container.backend.Virt.Backend.platform.Kernel_model.Platform.tlb_flush in
   List.iter
     (fun (task : Kernel_model.Task.t) ->
       let mm = task.Kernel_model.Task.mm in
@@ -63,8 +61,8 @@ let freeze (c : Cki.Container.t) (image : Image.t) (map : Capture.map) =
           ksm_exn "guest_protect(user)" (Cki.Ksm.guest_protect ksm ~root ~va ~writable:false);
           ksm_exn "guest_protect(direct)"
             (Cki.Ksm.guest_protect ksm ~root:kroot ~va:dva ~writable:false);
-          invlpg_all va;
-          invlpg_all dva;
+          flush va;
+          flush dva;
           (* Mirror the downgrade in the mm model: a template write must
              fault, not silently hit a frame the clones share. *)
           Kernel_model.Mm.freeze_page mm ~vpn;

@@ -138,6 +138,8 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
       pte_protect =
         (fun id ~va ~writable ->
           Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable));
+      (* A native invlpg: not intercepted under EPT. *)
+      tlb_flush = (fun _ -> Hw.Clock.charge_id clock Hw.Clock.id_invlpg Hw.Cost.invlpg);
       fault_round_trip =
         (fun () ->
           (* The guest-side fault entry is native (no VM exit); the EPT

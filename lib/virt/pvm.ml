@@ -155,6 +155,8 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           | exception Hw.Page_table.Translation_fault _ -> ()
           | _ ->
               Hw.Page_table.update (shadow_pt id) va (fun e -> Hw.Pte.with_writable e writable));
+      (* The host flushes when it syncs the shadow PTE. *)
+      tlb_flush = ignore;
       fault_round_trip =
         (fun () ->
           (* Host intercepts the user fault, injects it into the guest

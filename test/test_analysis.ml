@@ -494,55 +494,39 @@ let test_trace_truncated_end_to_end () =
 
 let test_lint_missing_shootdown () =
   (* Real machine states + events: map, cache on the vCPU, downgrade
-     through the KSM, skip the shootdown. *)
-  let c, trace =
-    Analysis.Trace.with_recorder (fun () ->
-        let c = mk () in
-        let ksm = Cki.Container.ksm c in
-        let va = 0x4000_0000 in
-        ignore (map_user c ~va);
-        let cpu = Cki.Container.cpu c 0 in
-        let pt = Hw.Page_table.of_root (mem_of c) cpu.Hw.Cpu.cr3 in
-        (match Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read () with
-        | Ok _ -> ()
-        | Error f -> fail (Hw.Cpu.show_fault f));
-        (match Cki.Ksm.guest_unmap ksm ~root:(Cki.Ksm.kernel_root ksm) ~va with
-        | Ok () -> ()
-        | Error e -> fail (Cki.Ksm.show_error e));
-        c)
+     through the KSM, with or without the shootdown.  The recorder
+     starts after boot, as perfbench's does: the rule learns the
+     container's PCID from the downgrade itself. *)
+  let downgrade ~shootdown =
+    let c = mk () in
+    let ksm = Cki.Container.ksm c in
+    let va = 0x4000_0000 in
+    ignore (map_user c ~va);
+    let cpu = Cki.Container.cpu c 0 in
+    let pt = Hw.Page_table.of_root (mem_of c) cpu.Hw.Cpu.cr3 in
+    let (), trace =
+      Analysis.Trace.with_recorder (fun () ->
+          (match Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read () with
+          | Ok _ -> ()
+          | Error f -> fail (Hw.Cpu.show_fault f));
+          (match Cki.Ksm.guest_unmap ksm ~root:(Cki.Ksm.kernel_root ksm) ~va with
+          | Ok () -> ()
+          | Error e -> fail (Cki.Ksm.show_error e));
+          if shootdown then Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va))
+    in
+    lint_has "missing-shootdown" (Analysis.lint_trace trace)
   in
-  ignore c;
-  check_bool "downgrade without shootdown" true
-    (lint_has "missing-shootdown" (Analysis.lint_trace trace));
-  (* same scenario with the shootdown: clean *)
-  let _, trace2 =
-    Analysis.Trace.with_recorder (fun () ->
-        let c = mk () in
-        let ksm = Cki.Container.ksm c in
-        let va = 0x4000_0000 in
-        ignore (map_user c ~va);
-        let cpu = Cki.Container.cpu c 0 in
-        let pt = Hw.Page_table.of_root (mem_of c) cpu.Hw.Cpu.cr3 in
-        (match Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read () with
-        | Ok _ -> ()
-        | Error f -> fail (Hw.Cpu.show_fault f));
-        (match Cki.Ksm.guest_unmap ksm ~root:(Cki.Ksm.kernel_root ksm) ~va with
-        | Ok () -> ()
-        | Error e -> fail (Cki.Ksm.show_error e));
-        Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va))
-  in
-  check_bool "shootdown resolves it" false
-    (lint_has "missing-shootdown" (Analysis.lint_trace trace2))
+  check_bool "downgrade without shootdown" true (downgrade ~shootdown:false);
+  check_bool "shootdown resolves it" false (downgrade ~shootdown:true)
 
 let test_lint_cross_vcpu_shootdown () =
   (* Two vCPUs cache the mapping; only one is invalidated. *)
   let fs =
     Analysis.Lint.run
       [
-        Hw.Probe.Container_boot { container = 0; pcid = 1 };
         Hw.Probe.Tlb_fill { cpu = 0; pcid = 1; vpn = 0x400; level = 1; pfn = 42 };
         Hw.Probe.Tlb_fill { cpu = 1; pcid = 1; vpn = 0x400; level = 1; pfn = 42 };
-        Hw.Probe.Pte_downgrade { container = 0; root = 7; vpn = 0x400; unmapped = false };
+        Hw.Probe.Pte_downgrade { container = 0; pcid = 1; vpn = 0x400; unmapped = false };
         Hw.Probe.Tlb_invlpg { cpu = 0; pcid = 1; vpn = 0x400 };
       ]
   in

@@ -340,6 +340,27 @@ let test_cpu_access_uses_tlb () =
   check_int "second access: no extra walk" walks (Hw.Clock.occurrences clock "tlb_miss_walk");
   check_bool "tlb hit recorded" true (Hw.Clock.occurrences clock "tlb_hit" >= 1)
 
+(* Mm flushes every page it unmaps through [exec_priv], so the call
+   must not allocate: a guest-kernel [invlpg], run 1000 times, adds
+   nothing to the minor heap beyond what an empty measurement does. *)
+let test_cpu_exec_priv_allocates_nothing () =
+  let cpu = mk_cpu () in
+  cpu.Hw.Cpu.pkrs <- Hw.Pks.pkrs_guest;
+  let inst = Hw.Priv.Invlpg 0x1000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let run () =
+    for _ = 1 to 1000 do
+      Hw.Cpu.exec_priv_exn cpu inst
+    done
+  in
+  run ();
+  let empty = words ignore in
+  check (float 0.0) "words per 1000 exec_priv" 0.0 (words run -. empty)
+
 (* ------------------------------- Idt ------------------------------ *)
 
 let test_idt_lock () =
@@ -463,6 +484,7 @@ let suite =
         test_case "iret restores PKRS (E4)" `Quick test_cpu_iret_restores_pkrs;
         test_case "access permission checks" `Quick test_cpu_access_checks;
         test_case "access consults TLB" `Quick test_cpu_access_uses_tlb;
+        test_case "exec_priv allocates nothing" `Quick test_cpu_exec_priv_allocates_nothing;
       ] );
     ( "hw/idt",
       [

@@ -24,11 +24,6 @@ let mk_app ?(heap_pages = 64) () =
 
 let mm_of (a : Migrate.Chaos.app) = a.Migrate.Chaos.task.Kernel_model.Task.mm
 
-let shootdown (a : Migrate.Chaos.app) va =
-  Array.iter
-    (fun cpu -> Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va))
-    a.Migrate.Chaos.container.Cki.Container.cpus
-
 let touch_page (a : Migrate.Chaos.app) p =
   Kernel_model.Mm.touch (mm_of a)
     (a.Migrate.Chaos.heap + (p * Hw.Addr.page_size))
@@ -37,7 +32,7 @@ let touch_page (a : Migrate.Chaos.app) p =
 let test_dirty_tracking_rounds () =
   let _fab, a = mk_app () in
   let mm = mm_of a in
-  let protected_pages = Kernel_model.Mm.dirty_track_start mm ~shootdown:(shootdown a) in
+  let protected_pages = Kernel_model.Mm.dirty_track_start mm in
   check bool "epoch protects the resident writable pages" true (protected_pages >= 64);
   check bool "tracking on" true (Kernel_model.Mm.tracking mm);
   check int "log starts empty" 0 (Kernel_model.Mm.dirty_count mm);
@@ -47,13 +42,13 @@ let test_dirty_tracking_rounds () =
   touch_page a 7;
   touch_page a 3;
   check int "two distinct pages logged" 2 (Kernel_model.Mm.dirty_count mm);
-  let round1 = Kernel_model.Mm.dirty_track_round mm ~shootdown:(shootdown a) in
+  let round1 = Kernel_model.Mm.dirty_track_round mm in
   check int "harvest returns the dirty set" 2 (List.length round1);
   check int "harvest resets the log" 0 (Kernel_model.Mm.dirty_count mm);
   (* The harvested pages were re-protected: writing one faults and
      logs again; an untouched page does not reappear. *)
   touch_page a 3;
-  let round2 = Kernel_model.Mm.dirty_track_round mm ~shootdown:(shootdown a) in
+  let round2 = Kernel_model.Mm.dirty_track_round mm in
   check int "only the re-written page returns" 1 (List.length round2);
   let final = Kernel_model.Mm.dirty_track_finish mm in
   check int "quiet final round is empty" 0 (List.length final);
@@ -65,9 +60,9 @@ let test_dirty_tracking_rounds () =
 let test_dirty_tracking_epoch_discipline () =
   let _fab, a = mk_app () in
   let mm = mm_of a in
-  ignore (Kernel_model.Mm.dirty_track_start mm ~shootdown:(shootdown a));
+  ignore (Kernel_model.Mm.dirty_track_start mm);
   check_raises "double start raises" (Invalid_argument "Mm.dirty_track_start: already tracking")
-    (fun () -> ignore (Kernel_model.Mm.dirty_track_start mm ~shootdown:(shootdown a)));
+    (fun () -> ignore (Kernel_model.Mm.dirty_track_start mm));
   touch_page a 1;
   let final = Kernel_model.Mm.dirty_track_finish mm in
   check int "finish hands back the unharvested tail" 1 (List.length final)
