@@ -1,5 +1,5 @@
 .PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench \
-	artifacts-identical perfbench-smoke clean
+	artifacts-identical perfbench-smoke bench-pairs clean
 
 all: build
 
@@ -95,6 +95,19 @@ perfbench-smoke: build
 	echo "$$line" | grep -q '"trace.split_resolved": {"value": 1,' \
 		|| { echo "perfbench-smoke: traced fleet-serve did not resolve its split"; exit 1; }; \
 	echo "perfbench-smoke: traced fleet-serve ok (split resolved)"
+
+# Paired A/B benchmark runs: PARENT (a commit; default HEAD) built in
+# a temporary git worktree against the working tree, PAIRS alternating
+# runs of WORKLOAD at SEED (RUN_SECONDS each), then each end-to-end metric's medians,
+# quartiles and win count.
+PARENT ?= HEAD
+WORKLOAD ?= fleet-serve
+SEED ?= 1
+PAIRS ?= 10
+RUN_SECONDS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) \
+		--pairs $(PAIRS) --seconds $(RUN_SECONDS)
 
 # Formatting check; a no-op (with a note) where ocamlformat is not
 # installed, so `ci` works in minimal containers too.

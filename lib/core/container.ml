@@ -62,10 +62,11 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
         cpu)
   in
   let vcpu0 () = cpus.(0) in
+  (* Host handlers, built once rather than on every exit. *)
+  let on_hypercall = Host.handle_hypercall host in
+  let on_irq vector = Host.handle_hw_interrupt host ~vector in
   let hypercall kind =
-    match
-      Gates.hypercall gates (vcpu0 ()) ~vcpu:0 ~request:kind (Host.handle_hypercall host)
-    with
+    match Gates.hypercall gates (vcpu0 ()) ~vcpu:0 ~request:kind on_hypercall with
     | Ok () -> ()
     | Error e -> failwith ("CKI hypercall gate error: " ^ Gates.show_error e)
   in
@@ -151,7 +152,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
              -> host handler -> virtual interrupt on resume. *)
           match
             Gates.interrupt gates (vcpu0 ()) ~vcpu:0 ~vector:Hw.Idt.vec_virtio_net
-              ~kind:Hw.Idt.Hardware (fun v -> Host.handle_hw_interrupt host ~vector:v)
+              ~kind:Hw.Idt.Hardware on_irq
           with
           | Ok () ->
               Host.inject_virq host;

@@ -33,6 +33,7 @@ type t = {
   host : Host.t;
   clock : Hw.Clock.t;
   slice_ns : float;
+  on_timer : int -> unit;  (** the host's timer-interrupt handler, built once *)
   mutable entries : vcpu_entry list;  (** round-robin order *)
   mutable preemptions : int;
   mutable throttle_events : int;
@@ -43,6 +44,7 @@ let create ?(slice_ns = 1_000_000.0) host =
     host;
     clock = Hw.Machine.clock (Host.machine host);
     slice_ns;
+    on_timer = (fun vector -> Host.handle_hw_interrupt host ~vector);
     entries = [];
     preemptions = 0;
     throttle_events = 0;
@@ -104,25 +106,17 @@ let run_slice t e =
   if e.spinning then
     (* a compromised guest burns its whole slice *)
     Hw.Clock.advance t.clock t.slice_ns
-  else begin
-    let rec drain () =
-      if Hw.Clock.now t.clock < slice_end then
-        match Queue.take_opt e.work with
-        | Some f ->
-            f ();
-            e.executed <- e.executed + 1;
-            drain ()
-        | None -> ()
-    in
-    drain ()
-  end;
+  else
+    while Hw.Clock.now t.clock < slice_end && not (Queue.is_empty e.work) do
+      (Queue.take e.work) ();
+      e.executed <- e.executed + 1
+    done;
   e.q_used <- e.q_used +. (Hw.Clock.now t.clock -. t0);
   (* Timer preemption: hardware interrupt -> interrupt gate -> host.
      The PKS-switch extension fires regardless of guest state. *)
   match
     Gates.interrupt (Container.gates e.container) cpu ~vcpu:e.vcpu ~vector:Hw.Idt.vec_timer
-      ~kind:Hw.Idt.Hardware
-      (fun v -> Host.handle_hw_interrupt t.host ~vector:v)
+      ~kind:Hw.Idt.Hardware t.on_timer
   with
   | Ok () -> t.preemptions <- t.preemptions + 1
   | Error e -> failwith ("Vcpu_sched: timer gate failed: " ^ Gates.show_error e)
@@ -140,31 +134,33 @@ let next_refill t =
    execution.  Throttled vCPUs are skipped without consuming a slice;
    if every vCPU is throttled the clock idles forward to the earliest
    refill, so the budget cap costs wall-clock latency, not livelock. *)
+let rec all_throttled t = function [] -> true | e :: rest -> throttled t e && all_throttled t rest
+
+(* A loop over the entries rather than a local closure, so a round of
+   slices allocates nothing of its own. *)
+let rec run_from t ~after_slice remaining entries =
+  if remaining > 0 then
+    match entries with
+    | [] -> run_from t ~after_slice remaining t.entries
+    | e :: rest ->
+        if throttled t e then begin
+          e.throttles <- e.throttles + 1;
+          t.throttle_events <- t.throttle_events + 1;
+          if all_throttled t t.entries then begin
+            let refill = next_refill t in
+            let now = Hw.Clock.now t.clock in
+            if refill > now && refill < infinity then Hw.Clock.advance t.clock (refill -. now)
+          end;
+          run_from t ~after_slice remaining rest
+        end
+        else begin
+          run_slice t e;
+          after_slice ();
+          run_from t ~after_slice (remaining - 1) rest
+        end
+
 let run ?(after_slice = fun () -> ()) t ~slices =
-  let remaining = ref slices in
-  let rec go entries =
-    if !remaining > 0 then
-      match entries with
-      | [] -> go t.entries
-      | e :: rest ->
-          if throttled t e then begin
-            e.throttles <- e.throttles + 1;
-            t.throttle_events <- t.throttle_events + 1;
-            if List.for_all (fun e' -> throttled t e') t.entries then begin
-              let refill = next_refill t in
-              let now = Hw.Clock.now t.clock in
-              if refill > now && refill < infinity then Hw.Clock.advance t.clock (refill -. now)
-            end;
-            go rest
-          end
-          else begin
-            run_slice t e;
-            after_slice ();
-            decr remaining;
-            go rest
-          end
-  in
-  if t.entries <> [] then go t.entries
+  if t.entries <> [] then run_from t ~after_slice slices t.entries
 
 let preemptions t = t.preemptions
 let throttle_events t = t.throttle_events

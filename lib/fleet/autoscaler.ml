@@ -37,8 +37,7 @@ type decision = Hold | Scale_out | Scale_in [@@deriving show { with_path = false
 
 type t = {
   cfg : config;
-  mutable samples : float list;  (** current window, newest first *)
-  mutable nsamples : int;
+  samples : Report.Stats.Samples.t;  (** the current window *)
   mutable last_action_ns : float;
   mutable calm_streak : int;
   mutable windows : int;
@@ -52,8 +51,7 @@ let create ?(now = 0.0) cfg =
     invalid_arg "Autoscaler.create: max_replicas below min_replicas";
   {
     cfg;
-    samples = [];
-    nsamples = 0;
+    samples = Report.Stats.Samples.create ~capacity:cfg.window ();
     (* start inside a cooldown: the initial fleet should prove itself
        before the first scale-out *)
     last_action_ns = now;
@@ -62,16 +60,13 @@ let create ?(now = 0.0) cfg =
     breaches = 0;
   }
 
-let observe t ~latency_us =
-  t.samples <- latency_us :: t.samples;
-  t.nsamples <- t.nsamples + 1
+let observe t ~latency_us = Report.Stats.Samples.add t.samples latency_us
 
 let decide t ~now ~replicas =
-  if t.nsamples < t.cfg.window then Hold
+  if Report.Stats.Samples.length t.samples < t.cfg.window then Hold
   else begin
-    let p99 = Report.Stats.percentile t.samples ~p:99.0 in
-    t.samples <- [];
-    t.nsamples <- 0;
+    let p99 = Report.Stats.Samples.percentile t.samples ~p:99.0 in
+    Report.Stats.Samples.clear t.samples;
     t.windows <- t.windows + 1;
     let cooled = now -. t.last_action_ns >= t.cfg.cooldown_ns in
     if p99 > t.cfg.slo_p99_us then begin

@@ -135,6 +135,7 @@ type replica = {
   rep_lane : Lane.t;
   rep_container : Cki.Container.t;
   rep_entry : Cki.Vcpu_sched.vcpu_entry;
+  rep_submit : ((unit -> unit) -> unit) option;  (** hand-off into [rep_entry], built at spawn *)
   rep_host : int;
   mutable rep_draining : bool;  (** excluded from balancer picks; destroyed when idle *)
 }
@@ -222,9 +223,17 @@ let run_tenant cfg tenant ~seed =
             ~window:cfg.io_window ~rand ~name (Cki.Container.backend c)
         in
         let entry = Cki.Vcpu_sched.add_vcpu ?quota:cfg.cpu_quota scheds.(h) c ~vcpu:0 in
-        replicas :=
-          Array.append !replicas
-            [| { rep_lane = lane; rep_container = c; rep_entry = entry; rep_host = h; rep_draining = false } |];
+        let rep =
+          {
+            rep_lane = lane;
+            rep_container = c;
+            rep_entry = entry;
+            rep_submit = Some (Cki.Vcpu_sched.submit_work entry);
+            rep_host = h;
+            rep_draining = false;
+          }
+        in
+        replicas := Array.append !replicas [| rep |];
         if Array.length !replicas > !peak then peak := Array.length !replicas;
         true
   in
@@ -309,18 +318,35 @@ let run_tenant cfg tenant ~seed =
   let interval = 1e9 /. tenant.rate_rps in
   let next_arrival = ref start_ns in
   let offered = ref 0 in
-  let latencies = ref [] in
-  let stamped = ref [] in  (* (completion_ns, latency_us) for phase p99s *)
+  let latencies = Report.Stats.Samples.create ~capacity:tenant.requests () in
+  (* (completion_ns, latency_us), newest first, for the phase p99s of a
+     drain; kept only when one is configured. *)
+  let stamped = ref [] in
   let completed = ref 0 in
   let inflight_total () = Array.fold_left (fun a r -> a + Lane.inflight r.rep_lane) 0 !replicas in
   (* Background refill skips a draining host (its pool must empty out,
      not regrow) and reaps retired templates whose last clone died. *)
   let refill_pools () =
-    Array.iteri
-      (fun h pool ->
-        if !draining <> Some h then ignore (Snapshot.Pool.refill_low_water pool);
-        ignore (Snapshot.Pool.reap_retired pool))
-      pools
+    for h = 0 to Array.length pools - 1 do
+      if !draining <> Some h then ignore (Snapshot.Pool.refill_low_water pools.(h));
+      ignore (Snapshot.Pool.reap_retired pools.(h))
+    done
+  in
+  (* Everything the loop calls back is built here, once: the serving
+     loop itself allocates no closure per round. *)
+  let load_any i = Lane.inflight !replicas.(i).rep_lane in
+  let after_slice = Some (fun () -> ignore (Ioplane.Loop.tick loop)) in
+  let host_pending = Array.make cfg.hosts 0 in
+  let rec record = function
+    | [] -> ()
+    | ts :: rest ->
+        let now = Hw.Clock.now clock in
+        let lat_us = (now -. ts) /. 1e3 in
+        Report.Stats.Samples.add latencies lat_us;
+        if cfg.drain <> None then stamped := (now, lat_us) :: !stamped;
+        Autoscaler.observe autoscaler ~latency_us:lat_us;
+        incr completed;
+        record rest
   in
   let rounds = ref 0 in
   let max_rounds = (100 * tenant.requests) + 10_000 in
@@ -341,16 +367,21 @@ let run_tenant cfg tenant ~seed =
       let now = Hw.Clock.now clock in
       if Admission.admit admission ~now ~inflight:(inflight_total ()) then begin
         let arr = !replicas in
-        (* Draining replicas are fenced: they finish what they hold
-           but take no new picks. *)
-        let elig = ref [] in
-        Array.iteri (fun i r -> if not r.rep_draining then elig := i :: !elig) arr;
-        let elig = Array.of_list (List.rev !elig) in
-        let n = Array.length elig in
-        let i =
-          Balancer.pick balancer ~load:(fun i -> Lane.inflight arr.(elig.(i)).rep_lane) ~n
-        in
-        Lane.send arr.(elig.(i)).rep_lane ~ts:!next_arrival
+        match !draining with
+        | None ->
+            let i = Balancer.pick balancer ~load:load_any ~n:(Array.length arr) in
+            Lane.send arr.(i).rep_lane ~ts:!next_arrival
+        | Some _ ->
+            (* Draining replicas are fenced: they finish what they hold
+               but take no new picks. *)
+            let elig = ref [] in
+            Array.iteri (fun i r -> if not r.rep_draining then elig := i :: !elig) arr;
+            let elig = Array.of_list (List.rev !elig) in
+            let n = Array.length elig in
+            let i =
+              Balancer.pick balancer ~load:(fun i -> Lane.inflight arr.(elig.(i)).rep_lane) ~n
+            in
+            Lane.send arr.(elig.(i)).rep_lane ~ts:!next_arrival
       end;
       next_arrival := !next_arrival +. interval;
       progressed := true
@@ -361,51 +392,39 @@ let run_tenant cfg tenant ~seed =
     | Some d when !draining = None && !offered >= d.d_after_requests -> drain_host d.d_host
     | _ -> ());
     (* Deliver frames; handlers become scheduled vCPU work. *)
-    Array.iter
-      (fun r ->
-        if Lane.pump ~submit:(Cki.Vcpu_sched.submit_work r.rep_entry) r.rep_lane > 0 then
-          progressed := true)
-      !replicas;
+    let arr = !replicas in
+    for i = 0 to Array.length arr - 1 do
+      if Lane.pump ?submit:arr.(i).rep_submit arr.(i).rep_lane > 0 then progressed := true
+    done;
     (* Guest execution under quota; device service between slices.
        Only when handlers are actually queued — an idle fleet must not
        burn timer-gate charges (and pollute the quota windows) spinning
        empty slices. *)
-    let pending_work =
-      Array.fold_left
-        (fun a r -> a + Queue.length r.rep_entry.Cki.Vcpu_sched.work)
-        0 !replicas
-    in
-    if pending_work > 0 then begin
+    Array.fill host_pending 0 cfg.hosts 0;
+    let pending_work = ref 0 in
+    for i = 0 to Array.length arr - 1 do
+      let q = Queue.length arr.(i).rep_entry.Cki.Vcpu_sched.work in
+      host_pending.(arr.(i).rep_host) <- host_pending.(arr.(i).rep_host) + q;
+      pending_work := !pending_work + q
+    done;
+    if !pending_work > 0 then begin
       let t0 = Hw.Clock.now clock in
-      Array.iteri
-        (fun h sched ->
-          let host_pending =
-            Array.fold_left
-              (fun a r ->
-                if r.rep_host = h then a + Queue.length r.rep_entry.Cki.Vcpu_sched.work else a)
-              0 !replicas
-          in
-          if host_pending > 0 then
-            Cki.Vcpu_sched.run sched
-              ~slices:(max 1 (Array.length !replicas))
-              ~after_slice:(fun () -> ignore (Ioplane.Loop.tick loop)))
-        scheds;
+      for h = 0 to cfg.hosts - 1 do
+        if host_pending.(h) > 0 then
+          Cki.Vcpu_sched.run scheds.(h) ~slices:(max 1 (Array.length !replicas)) ?after_slice
+      done;
       if Hw.Clock.now clock > t0 then progressed := true
     end;
     if Ioplane.Loop.tick loop > 0 then progressed := true;
     (* Reap completions; every latency feeds the autoscaler's window. *)
-    Array.iter
-      (fun r ->
-        List.iter
-          (fun ts ->
-            let lat_us = (Hw.Clock.now clock -. ts) /. 1e3 in
-            latencies := lat_us :: !latencies;
-            stamped := (Hw.Clock.now clock, lat_us) :: !stamped;
-            Autoscaler.observe autoscaler ~latency_us:lat_us;
-            incr completed;
-            progressed := true)
-          (Lane.reap r.rep_lane))
-      !replicas;
+    let arr = !replicas in
+    for i = 0 to Array.length arr - 1 do
+      match Lane.reap arr.(i).rep_lane with
+      | [] -> ()
+      | done_ ->
+          record done_;
+          progressed := true
+    done;
     sweep_draining ();
     (match
        Autoscaler.decide autoscaler ~now:(Hw.Clock.now clock) ~replicas:(Array.length !replicas)
@@ -440,7 +459,11 @@ let run_tenant cfg tenant ~seed =
         p99 (phase d_end infinity) )
     end
   in
-  let p50, p95, p99 = Ioplane.Serve.p50_p95_p99 !latencies in
+  let p50, p95, p99 =
+    match Report.Stats.Samples.percentiles latencies ~ps:[ 50.0; 95.0; 99.0 ] with
+    | [ p50; p95; p99 ] -> (p50, p95, p99)
+    | _ -> assert false
+  in
   let merge_pool_stats () =
     Array.fold_left
       (fun (a : Snapshot.Pool.stats) p ->
@@ -463,7 +486,7 @@ let run_tenant cfg tenant ~seed =
     tr_shed_rate = Admission.shed_rate admission;
     tr_shed_inflight = Admission.shed_inflight admission;
     tr_completed = !completed;
-    tr_mean_us = Report.Stats.mean !latencies;
+    tr_mean_us = Report.Stats.Samples.mean latencies;
     tr_p50_us = p50;
     tr_p95_us = p95;
     tr_p99_us = p99;

@@ -132,3 +132,13 @@ let pp fmt t =
     (fun (e, n) -> Format.fprintf fmt "  %-32s %8d  %12.0f ns@," e n (spent_on t e))
     (events t);
   Format.fprintf fmt "@]"
+
+(* [charge_id t id (base +. bytes * copy_byte)], with the sum formed
+   here so the I/O path's per-copy charge boxes no float on the way
+   in. *)
+let charge_copy t id ~base ~bytes =
+  let ns = base +. (float_of_int bytes *. Cost.copy_byte) in
+  if id >= Array.length t.counts then grow t id;
+  t.now_ns.(0) <- t.now_ns.(0) +. ns;
+  t.counts.(id) <- t.counts.(id) + 1;
+  t.spent.(id) <- t.spent.(id) +. ns

@@ -41,6 +41,11 @@ val charge_id : t -> int -> float -> unit
 (** [charge_id t (intern name) ns] is [charge t name ns], without the
     name lookup. *)
 
+val charge_copy : t -> int -> base:float -> bytes:int -> unit
+(** [charge_copy t id ~base ~bytes] is
+    [charge_id t id (base +. float_of_int bytes *. Cost.copy_byte)],
+    bit for bit, but allocates nothing: the charge of a payload copy. *)
+
 val count_id : t -> int -> unit
 
 val add_into : into:t -> t -> unit

@@ -518,3 +518,22 @@ let iter_owned t ~id f =
   done
 
 let free_frames t = t.free_count
+
+(* [read_entry]/[write_entry] on words held as OCaml ints, for rings
+   whose words never use more than 56 bits: no [int64] is boxed on
+   either side. *)
+let read_word t ~pfn ~index =
+  check_pfn t pfn;
+  if index < 0 || index >= entries then invalid_arg "Phys_mem.read_word";
+  trace_read t pfn;
+  let s = t.table_slot.(pfn) in
+  if s < 0 then 0 else Int64.to_int (Bigarray.Array1.get t.arena ((s * entries) + index))
+
+let write_word t ~pfn ~index value =
+  check_pfn t pfn;
+  if index < 0 || index >= entries then invalid_arg "Phys_mem.write_word";
+  trace_write t pfn;
+  let s = ensure_slot t pfn in
+  Bigarray.Array1.set t.arena ((s * entries) + index) (Int64.of_int value);
+  if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
+  if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index

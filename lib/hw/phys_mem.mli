@@ -87,6 +87,13 @@ val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
 
+val read_word : t -> pfn:Addr.pfn -> index:int -> int
+val write_word : t -> pfn:Addr.pfn -> index:int -> int -> unit
+(** {!read_entry}/{!write_entry} on words held as OCaml ints, for
+    rings (VirtIO) whose words use at most 56 bits: nothing is boxed.
+    A word written here reads back identically through {!read_entry};
+    PTEs, whose NX bit is bit 63, stay on the [int64] pair. *)
+
 val write_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
 (** [write_bytes t ~pfn src ~off ~len] stores [len] (at most 4096)
     bytes of [src] starting at [off] into the frame, little-endian, in

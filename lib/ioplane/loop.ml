@@ -20,19 +20,23 @@ type attachment = {
   mutable rx_sid : int option;  (** socket inbound frames are delivered to *)
   mutable pending_tx : bool;
   mutable pending_blk : bool;
+  forward_tx : Bytes.t -> unit;  (** TX payload -> switch, built once at attach *)
 }
 
 type t = {
   switch : Switch.t;
   blkstore : Blkstore.t;
+  blk_write : Bytes.t -> unit;
   mutable attachments : attachment list;
   mutable service_passes : int;
 }
 
 let create clock =
+  let blkstore = Blkstore.create () in
   {
     switch = Switch.create clock;
-    blkstore = Blkstore.create ();
+    blkstore;
+    blk_write = Blkstore.write blkstore;
     attachments = [];
     service_passes = 0;
   }
@@ -47,16 +51,22 @@ let service t att =
   att.pending_tx <- false;
   att.pending_blk <- false;
   t.service_passes <- t.service_passes + 1;
-  let tx =
-    Kernel_model.Kernel.host_service_net_tx att.kernel
-      ~handle:(fun payload -> Switch.forward t.switch ~src:att.port payload)
-  in
-  let blk = Kernel_model.Kernel.host_service_blk att.kernel ~handle:(Blkstore.write t.blkstore) in
+  let tx = Kernel_model.Kernel.host_service_net_tx att.kernel ~handle:att.forward_tx in
+  let blk = Kernel_model.Kernel.host_service_blk att.kernel ~handle:t.blk_write in
   tx + blk
 
 let attach t kernel ~name =
   let port = Switch.port t.switch ~name in
-  let att = { kernel; port; rx_sid = None; pending_tx = false; pending_blk = false } in
+  let att =
+    {
+      kernel;
+      port;
+      rx_sid = None;
+      pending_tx = false;
+      pending_blk = false;
+      forward_tx = (fun payload -> Switch.forward t.switch ~src:port payload);
+    }
+  in
   let immediate () = Kernel_model.Kernel.io_window kernel = 0 in
   let backend =
     {
@@ -70,7 +80,7 @@ let attach t kernel ~name =
                  the queue inline, nothing for the loop to do. *)
               ());
       service_now = (fun () -> ignore (service t att));
-      blk_sink = Some (Blkstore.write t.blkstore);
+      blk_sink = Some t.blk_write;
     }
   in
   Kernel_model.Kernel.set_io_backend kernel (Some backend);
@@ -83,35 +93,29 @@ let detach t att =
 
 let set_rx_socket att sid = att.rx_sid <- Some sid
 
-(* Deliver inbound frames queued at the attachment's port into its
-   kernel (RX ring fill + one interrupt per batch). *)
+(* Deliver the frames queued at the attachment's port into its kernel
+   (RX ring fill + one interrupt per batch), emptying the inbox. *)
 let pump att =
+  let n = Switch.pending att.port in
   match att.rx_sid with
-  | None -> 0
-  | Some sid -> (
-      match Switch.drain att.port with
-      | [] -> 0
-      | frames -> (
-          match Kernel_model.Kernel.deliver_packets att.kernel ~sid frames with
-          | Ok () -> List.length frames
-          | Error `No_socket -> 0))
+  | Some sid when n > 0 -> (
+      match Kernel_model.Kernel.deliver_packets att.kernel ~sid att.port.Switch.inbox with
+      | Ok () -> n
+      | Error `No_socket -> 0)
+  | _ -> 0
 
 let outstanding att =
-  att.pending_tx || att.pending_blk
-  ||
-  match Kernel_model.Kernel.io_devices att.kernel with
-  | None -> false
-  | Some (tx, _rx, blk) ->
-      Kernel_model.Virtio.in_flight tx > 0 || Kernel_model.Virtio.in_flight blk > 0
+  att.pending_tx || att.pending_blk || Kernel_model.Kernel.io_outstanding att.kernel
 
-(* One event-loop iteration over the fleet. *)
-let tick t =
-  let progressed = ref 0 in
-  List.iter
-    (fun att ->
-      progressed := !progressed + pump att;
-      if outstanding att then progressed := !progressed + service t att)
-    t.attachments;
-  !progressed
+(* One event-loop iteration over the fleet: a loop, not an iterator
+   closure, so an idle tick allocates nothing. *)
+let rec tick_from t progressed = function
+  | [] -> progressed
+  | att :: rest ->
+      let progressed = progressed + pump att in
+      let progressed = if outstanding att then progressed + service t att else progressed in
+      tick_from t progressed rest
+
+let tick t = tick_from t 0 t.attachments
 
 let service_passes t = t.service_passes

@@ -14,6 +14,7 @@ type attachment = {
   mutable rx_sid : int option;
   mutable pending_tx : bool;
   mutable pending_blk : bool;
+  forward_tx : Bytes.t -> unit;  (** TX payload -> switch, built once at attach *)
 }
 
 type t
@@ -31,11 +32,12 @@ val detach : t -> attachment -> unit
 val set_rx_socket : attachment -> int -> unit
 
 val pump : attachment -> int
-(** Deliver inbound frames queued at the port into the kernel's RX
-    path; returns frames delivered. *)
+(** Deliver every frame queued at the port into the kernel's RX path,
+    emptying the inbox; returns frames delivered. *)
 
 val tick : t -> int
 (** One event-loop iteration over the fleet (pump + service where
-    outstanding); returns total progress (frames + chains). *)
+    outstanding); returns total progress (frames + chains).  A tick
+    over idle attachments allocates nothing. *)
 
 val service_passes : t -> int

@@ -11,8 +11,8 @@
    use everywhere else.
 
    The per-container plumbing lives in [Lane]: one backend wired to
-   the event loop plus its client port, request encoder and completion
-   bookkeeping.  This harness drives a fixed set of lanes; the fleet
+   the event loop plus its client port, request descriptors and
+   completion bookkeeping.  This harness drives a fixed set of lanes; the fleet
    controller (lib/fleet) attaches and detaches lanes dynamically. *)
 
 type workload = Kv_memcached | Kv_redis | Web_static | Web_httpd
@@ -48,10 +48,10 @@ let p50_p95_p99 lat_us =
 let count_events clock names =
   List.fold_left (fun acc e -> acc + Hw.Clock.occurrences clock e) 0 names
 
-(* Drain the wire-side client peer of socket [sid], returning the
-   number of frames taken. For virtio backends the switch port carries
-   the measured reply path and the wire copy is discarded; for runc
-   (no rings) the wire IS the reply path. *)
+(* Drop what the wire-side client peer of socket [sid] received,
+   returning the number of frames. For virtio backends the switch port
+   carries the measured reply path and the wire copy is discarded; for
+   runc (no rings) the wire IS the reply path. *)
 let drain_wire kernel sid =
   match Kernel_model.Kernel.socket_endpoint kernel sid with
   | None -> 0
@@ -59,28 +59,42 @@ let drain_wire kernel sid =
       match ep.Kernel_model.Net.peer with
       | None -> 0
       | Some pid ->
-          let peer = Kernel_model.Net.get (Kernel_model.Kernel.wire kernel) pid in
-          let n = ref 0 in
-          while Kernel_model.Net.pending peer > 0 do
-            ignore (Kernel_model.Net.recv peer);
-            incr n
-          done;
-          !n)
+          Kernel_model.Net.discard (Kernel_model.Net.get (Kernel_model.Kernel.wire kernel) pid))
 
 module Lane = struct
+  (* A request is a descriptor, [key lsl 1 lor op], in an int ring,
+     with its arrival time in a float ring, both indexed by the
+     request's sequence number modulo the (power-of-two) capacity.  Three
+     counters split the sequence into the lane's stages:
+
+       [reaped] <= [served] <= [handed] <= [sent]
+
+     sent but not handed = frames on their way into the guest; handed
+     but not reaped = handlers queued or run, replies in transit.  The
+     rings double when [sent - reaped] reaches their capacity, so a
+     steady lane allocates nothing per request. *)
   type t = {
     backend : Virt.Backend.t;
     kernel : Kernel_model.Kernel.t;
     loop : Loop.t;
     att : Loop.attachment;
     client : Switch.port;
-    encode : unit -> Bytes.t * (unit -> unit);
-        (** draw the next request: wire payload + its handler *)
-    inflight : (float * (unit -> unit)) Queue.t;  (** delivered-but-unhandled *)
-    awaiting : float Queue.t;  (** handled, reply in transit: arrival ts *)
+    draw : unit -> int;  (** the next request's descriptor *)
+    frames : Bytes.t array;  (** per-op wire payload, reused by every request *)
+    handle : op:int -> key:int -> unit;  (** the guest's handler for one request *)
+    mutable descs : int array;
+    mutable arrivals : float array;
     mutable sent : int;
+    mutable handed : int;
+    mutable served : int;
+    mutable reaped : int;
+    mutable serve : unit -> unit;  (** handle descriptor [served]: the one thunk of every hand-off *)
     mutable detached : bool;
   }
+
+  (* Request ops. *)
+  let op_get = 0
+  let op_set = 1
 
   let attach ~loop ~workload ?(fsync_every = 0) ?(queue_size = 64) ?(window = 1) ~rand ~name
       (b : Virt.Backend.t) =
@@ -90,7 +104,7 @@ module Lane = struct
     let switch = Loop.switch loop in
     let client = Switch.port switch ~name:(name ^ "-client") in
     Switch.connect switch att.Loop.port client;
-    let sid, encode =
+    let sid, draw, frames, handle =
       match workload with
       | Kv_memcached | Kv_redis ->
           let flavor =
@@ -108,14 +122,16 @@ module Lane = struct
             else None
           in
           let sets = ref 0 in
-          let encode () =
+          let draw () =
             let key = rand 100_000 in
-            let req = if rand 2 = 0 then Workloads.Kv.Set key else Workloads.Kv.Get key in
-            let payload = Workloads.Kv.encode_request req srv.Workloads.Kv.value_size in
-            let handle () =
-              Workloads.Kv.handle_request srv req;
-              match (req, log_fd) with
-              | Workloads.Kv.Set _, Some fd ->
+            (key lsl 1) lor if rand 2 = 0 then op_set else op_get
+          in
+          let encode req = Workloads.Kv.encode_request req srv.Workloads.Kv.value_size in
+          let handle ~op ~key =
+            if op = op_set then begin
+              Workloads.Kv.handle_request srv (Workloads.Kv.Set key);
+              match log_fd with
+              | Some fd ->
                   incr sets;
                   if !sets mod fsync_every = 0 then begin
                     ignore
@@ -125,11 +141,14 @@ module Lane = struct
                       (Virt.Backend.syscall_exn b srv.Workloads.Kv.task
                          (Kernel_model.Syscall.Fsync fd))
                   end
-              | _ -> ()
-            in
-            (payload, handle)
+              | None -> ()
+            end
+            else Workloads.Kv.handle_request srv (Workloads.Kv.Get key)
           in
-          (srv.Workloads.Kv.sock_id, encode)
+          ( srv.Workloads.Kv.sock_id,
+            draw,
+            [| encode (Workloads.Kv.Get 0); encode (Workloads.Kv.Set 0) |],
+            handle )
       | Web_static | Web_httpd ->
           let kind =
             match workload with
@@ -137,64 +156,98 @@ module Lane = struct
             | _ -> Workloads.Webserver.Nginx_static
           in
           let srv = Workloads.Webserver.create b kind in
-          let encode () = (Bytes.create 512, fun () -> Workloads.Webserver.serve_one srv) in
-          (srv.Workloads.Webserver.sock_id, encode)
+          ( srv.Workloads.Webserver.sock_id,
+            (fun () -> op_get),
+            [| Bytes.create 512 |],
+            fun ~op:_ ~key:_ -> Workloads.Webserver.serve_one srv )
     in
     Loop.set_rx_socket att sid;
-    {
-      backend = b;
-      kernel;
-      loop;
-      att;
-      client;
-      encode;
-      inflight = Queue.create ();
-      awaiting = Queue.create ();
-      sent = 0;
-      detached = false;
-    }
+    let t =
+      {
+        backend = b;
+        kernel;
+        loop;
+        att;
+        client;
+        draw;
+        frames;
+        handle;
+        descs = Array.make 16 0;
+        arrivals = Array.make 16 0.0;
+        sent = 0;
+        handed = 0;
+        served = 0;
+        reaped = 0;
+        serve = ignore;
+        detached = false;
+      }
+    in
+    t.serve <-
+      (fun () ->
+        let d = t.descs.(t.served land (Array.length t.descs - 1)) in
+        t.served <- t.served + 1;
+        t.handle ~op:(d land 1) ~key:(d lsr 1));
+    t
+
+  (* Double the rings, keeping every live descriptor at its sequence
+     number's new slot. *)
+  let grow t =
+    let cap = Array.length t.descs in
+    let descs = Array.make (2 * cap) 0 and arrivals = Array.make (2 * cap) 0.0 in
+    for seq = t.reaped to t.sent - 1 do
+      let o = seq land (cap - 1) and n = seq land ((2 * cap) - 1) in
+      descs.(n) <- t.descs.(o);
+      arrivals.(n) <- t.arrivals.(o)
+    done;
+    t.descs <- descs;
+    t.arrivals <- arrivals
 
   let send t ~ts =
     if t.detached then invalid_arg "Serve.Lane.send: lane is detached";
-    let payload, handle = t.encode () in
-    Switch.forward (Loop.switch t.loop) ~src:t.client payload;
-    Queue.add (ts, handle) t.inflight;
+    if t.sent - t.reaped = Array.length t.descs then grow t;
+    let d = t.draw () in
+    Switch.forward (Loop.switch t.loop) ~src:t.client t.frames.(d land 1);
+    let slot = t.sent land (Array.length t.descs - 1) in
+    t.descs.(slot) <- d;
+    t.arrivals.(slot) <- ts;
     t.sent <- t.sent + 1
 
-  (* Deliver inbound frames, then run (or hand off) one handler per
-     frame.  The arrival timestamp moves to the awaiting queue at
-     hand-off time, not completion time: replies only materialize after
-     the handler runs and handlers execute FIFO, so reap still matches
-     them in order — and [inflight] keeps counting a request whose
-     handler sits on a scheduler queue (scale-in must see it). *)
+  (* Deliver inbound frames, then hand off one request per frame: run
+     its handler inline, or give [submit] the lane's one [serve] thunk,
+     which handles the oldest unserved descriptor.  That is sound
+     because a replica's scheduler work queue runs FIFO, so the n-th
+     thunk to run is the n-th submitted.  A request counts as handed
+     (it stays in [inflight], so scale-in sees it) from hand-off until
+     its reply is reaped. *)
   let pump ?submit t =
     let n = Loop.pump t.att in
-    for _ = 1 to n do
-      match Queue.take_opt t.inflight with
-      | None -> ()
-      | Some (ts, handle) -> (
-          Queue.add ts t.awaiting;
-          match submit with Some s -> s handle | None -> handle ())
+    let k = min n (t.sent - t.handed) in
+    for _ = 1 to k do
+      t.handed <- t.handed + 1;
+      match submit with Some s -> s t.serve | None -> t.serve ()
     done;
     n
 
-  (* Reap completed replies, returning their arrival timestamps. *)
+  (* Reap completed replies, returning their arrival timestamps, oldest
+     first: the list is consed from the newest back. *)
   let reap t =
-    let port_replies = List.length (Switch.drain t.client) in
+    let port_replies = Switch.pending t.client in
+    Kernel_model.Net.Frames.drop t.client.Switch.inbox port_replies;
     let sid = Option.value t.att.Loop.rx_sid ~default:(-1) in
     let wire_replies = drain_wire t.kernel sid in
     let replies =
       if Kernel_model.Kernel.virtualized_io t.kernel then port_replies else wire_replies
     in
+    let k = min replies (t.handed - t.reaped) in
+    let mask = Array.length t.arrivals - 1 in
     let out = ref [] in
-    for _ = 1 to replies do
-      match Queue.take_opt t.awaiting with
-      | None -> ()
-      | Some ts -> out := ts :: !out
+    for seq = t.reaped + k - 1 downto t.reaped do
+      out := t.arrivals.(seq land mask) :: !out
     done;
-    List.rev !out
+    t.reaped <- t.reaped + k;
+    !out
 
-  let inflight t = Queue.length t.inflight + Queue.length t.awaiting
+  let inflight t = t.sent - t.reaped
   let sent t = t.sent
   let backend t = t.backend
 

@@ -11,8 +11,8 @@ type workload = Kv_memcached | Kv_redis | Web_static | Web_httpd
 val workload_of_string : string -> workload option
 
 (** One container's lane through the I/O plane: a backend wired to the
-    event loop, its client switch port, a workload-specific request
-    encoder, and completion bookkeeping.  The serve harness drives a
+    event loop, its client switch port, and its requests as int
+    descriptors in rings that allocate nothing per request.  The serve harness drives a
     fixed set of lanes; {!Fleet.Controller} attaches and detaches them
     dynamically as it scales. *)
 module Lane : sig
@@ -41,11 +41,14 @@ module Lane : sig
   val pump : ?submit:((unit -> unit) -> unit) -> t -> int
   (** Deliver inbound frames into the guest and run one request handler
       per frame — inline, or handed to [submit] (vCPU-scheduler work
-      injection). Returns frames delivered. *)
+      injection). Every submission is the lane's one thunk, which
+      handles the oldest request not yet handled, so [submit] must run
+      what it is given in order (a FIFO work queue). Returns frames
+      delivered. *)
 
   val reap : t -> float list
-  (** Drain completed replies; returns their arrival timestamps
-      (end-to-end latency = now - ts). *)
+  (** Drain completed replies; returns their arrival timestamps, oldest
+      first (end-to-end latency = now - ts). *)
 
   val inflight : t -> int
   (** Requests sent but not yet reaped. *)
@@ -107,10 +110,6 @@ val xorshift : int ref -> int -> int
 val exit_events : string -> string list
 (** Clock event names that count as privilege-boundary exits for a
     backend (empty for runc). *)
-
-val p50_p95_p99 : float list -> float * float * float
-(** The p50/p95/p99 nearest-rank latencies of a sample, sorted once
-    ([nan]s when empty). *)
 
 val run : ?domains:int -> config -> result * Cki.Container.t list
 (** Build the fleet, serve every request, and collect counters. The

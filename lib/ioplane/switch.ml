@@ -2,12 +2,14 @@
    plane.  Each container's virtio-net backend owns a port; the load
    generator owns the peer ports.  Forwarding a frame costs host CPU
    (table lookup + copy), charged on the shared clock like every other
-   host-side expense. *)
+   host-side expense.  An inbox is a frame ring drained by count; a
+   frame is the sender's buffer, not a copy (see
+   [Kernel_model.Net.Frames]). *)
 
 type port = {
   id : int;
   name : string;
-  inbox : Bytes.t Queue.t;
+  inbox : Kernel_model.Net.Frames.t;
   mutable link : int option;  (** connected peer port *)
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -32,7 +34,7 @@ let port t ~name =
     {
       id;
       name;
-      inbox = Queue.create ();
+      inbox = Kernel_model.Net.Frames.create ();
       link = None;
       tx_packets = 0;
       tx_bytes = 0;
@@ -55,24 +57,18 @@ let id_switch_forward = Hw.Clock.intern "switch_forward"
 let forward t ~(src : port) payload =
   src.tx_packets <- src.tx_packets + 1;
   src.tx_bytes <- src.tx_bytes + Bytes.length payload;
-  Hw.Clock.charge_id t.clock id_switch_forward
-    (Hw.Cost.switch_forward +. (float_of_int (Bytes.length payload) *. Hw.Cost.copy_byte));
+  Hw.Clock.charge_copy t.clock id_switch_forward ~base:Hw.Cost.switch_forward
+    ~bytes:(Bytes.length payload);
   match src.link with
   | None -> t.dropped <- t.dropped + 1
   | Some peer_id ->
       let dst = Hashtbl.find t.ports peer_id in
-      Queue.add payload dst.inbox;
+      Kernel_model.Net.Frames.push dst.inbox payload;
       dst.rx_packets <- dst.rx_packets + 1;
       dst.rx_bytes <- dst.rx_bytes + Bytes.length payload;
       t.forwarded <- t.forwarded + 1
 
-let pending (p : port) = Queue.length p.inbox
-
-let drain (p : port) =
-  let rec go acc =
-    match Queue.take_opt p.inbox with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
+let pending (p : port) = Kernel_model.Net.Frames.length p.inbox
 
 let forwarded t = t.forwarded
 let dropped t = t.dropped

@@ -6,7 +6,7 @@
 type port = {
   id : int;
   name : string;
-  inbox : Bytes.t Queue.t;
+  inbox : Kernel_model.Net.Frames.t;  (** frames in arrival order *)
   mutable link : int option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -25,6 +25,5 @@ val forward : t -> src:port -> Bytes.t -> unit
     and counted if unlinked). *)
 
 val pending : port -> int
-val drain : port -> Bytes.t list
 val forwarded : t -> int
 val dropped : t -> int

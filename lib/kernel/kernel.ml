@@ -10,7 +10,19 @@
    freshly assembled (or snapshot-restored) containers that never did
    I/O own no ring frames — which keeps snapshot re-capture
    byte-identical. *)
-type io = { tx : Virtio.t; rx : Virtio.t; blk : Virtio.t }
+type io = {
+  tx : Virtio.t;
+  rx : Virtio.t;
+  blk : Virtio.t;
+  (* Built once with the queues, so no doorbell, interrupt or blk
+     service pass allocates a closure. *)
+  inject_irq : unit -> unit;
+  tx_doorbell : unit -> unit;
+  rx_doorbell : unit -> unit;
+  blk_doorbell : unit -> unit;
+  blk_service : Bytes.t -> unit;
+  blk_handle : (Bytes.t -> unit) ref;  (** standalone sink of the current blk pass *)
+}
 
 type kick_target = [ `Net_tx | `Net_rx | `Blk ]
 
@@ -90,7 +102,37 @@ let ensure_io t =
           ~name:(Printf.sprintf "%s%d-%s" t.platform.Platform.name t.id suffix)
           t.platform
       in
-      let io = { tx = q "net-tx"; rx = q "net-rx"; blk = q "blk" } in
+      let doorbell kind target () =
+        t.platform.Platform.hypercall kind;
+        match t.io_backend with Some b -> b.kicked target | None -> ()
+      in
+      (* The queues take their frames in this order (blk, rx, tx). *)
+      let blk = q "blk" in
+      let rx = q "net-rx" in
+      let tx = q "net-tx" in
+      let blk_handle = ref ignore in
+      let io =
+        {
+          tx;
+          rx;
+          blk;
+          inject_irq =
+            (fun () ->
+              t.irq_count <- t.irq_count + 1;
+              t.platform.Platform.deliver_irq ());
+          tx_doorbell = doorbell Platform.Net_tx `Net_tx;
+          rx_doorbell = doorbell Platform.Net_rx_ack `Net_rx;
+          blk_doorbell = doorbell Platform.Blk_write `Blk;
+          blk_service =
+            (fun data ->
+              (match t.io_backend with
+              | Some { blk_sink = Some f; _ } -> f data
+              | _ -> !blk_handle data);
+              Hw.Clock.charge (clock t) "blk_io"
+                (float_of_int (max 1 ((Bytes.length data + 511) / 512)) *. Hw.Cost.blk_sector));
+          blk_handle;
+        }
+      in
       t.io <- Some io;
       io
 
@@ -114,6 +156,11 @@ let configure_io ?queue_size ?window t =
 let set_io_backend t backend = t.io_backend <- backend
 let virtualized_io t = t.platform.Platform.virtualized_io
 let io_devices t = Option.map (fun io -> (io.tx, io.rx, io.blk)) t.io
+
+let io_outstanding t =
+  match t.io with
+  | None -> false
+  | Some io -> Virtio.in_flight io.tx > 0 || Virtio.in_flight io.blk > 0
 let io_window t = t.io_window
 
 let io_unreclaimed t =
@@ -129,32 +176,23 @@ let io_unreclaimed t =
 let tx_stalls t = t.tx_stalls
 
 (* Host side: service a device-readable queue (TX or blk), inject the
-   completion interrupt ([force_irq] bounds batch latency), then run the
+   completion interrupt (forced: it bounds batch latency), then run the
    guest's reclaim as its interrupt handler. *)
-let host_service_queue ?(force_irq = true) t q ~handle =
+let host_service_queue io q ~handle =
   let n = Virtio.service q ~handle in
-  let injected =
-    Virtio.complete ~force:force_irq q ~inject:(fun () ->
-        t.irq_count <- t.irq_count + 1;
-        t.platform.Platform.deliver_irq ())
-  in
-  if injected then ignore (Virtio.reclaim q);
+  let injected = Virtio.complete ~force:true q ~inject:io.inject_irq in
+  if injected then Virtio.reclaim q;
   n
 
-let host_service_net_tx ?force_irq t ~handle =
-  match t.io with None -> 0 | Some io -> host_service_queue ?force_irq t io.tx ~handle
+let host_service_net_tx t ~handle =
+  match t.io with None -> 0 | Some io -> host_service_queue io io.tx ~handle
 
-let host_service_blk ?force_irq t ~handle =
+let host_service_blk t ~handle =
   match t.io with
   | None -> 0
   | Some io ->
-      let sink =
-        match t.io_backend with Some { blk_sink = Some f; _ } -> f | _ -> handle
-      in
-      host_service_queue ?force_irq t io.blk ~handle:(fun data ->
-          sink data;
-          Hw.Clock.charge (clock t) "blk_io"
-            (float_of_int (max 1 ((Bytes.length data + 511) / 512)) *. Hw.Cost.blk_sector))
+      io.blk_handle := handle;
+      host_service_queue io io.blk ~handle:io.blk_service
 
 (* Guest blocked on a full ring: run one synchronous host service pass
    to make room.  Through the plane when attached, self-serviced when
@@ -167,23 +205,17 @@ let host_service_pass t =
       ignore (host_service_blk t ~handle:ignore)
 
 (* Guest: post [data] with graceful backpressure, then ring-or-not. *)
-let guest_post_kick t q ~data ~(kind : Platform.io_kind) ~(target : kick_target) =
-  let rec post attempts =
-    match Virtio.post q ~data with
-    | `Posted -> ()
-    | `Full ->
-        if attempts > 3 * Virtio.size q then
-          failwith (Printf.sprintf "virtio %s: ring wedged under backpressure" (Virtio.name q));
-        t.tx_stalls <- t.tx_stalls + 1;
-        Hw.Clock.charge (clock t) "virtio_tx_stall" Hw.Cost.virtio_frontend_work;
-        host_service_pass t;
-        post (attempts + 1)
-  in
-  post 0;
-  ignore
-    (Virtio.kick q ~doorbell:(fun () ->
-         t.platform.Platform.hypercall kind;
-         match t.io_backend with Some b -> b.kicked target | None -> ()))
+let guest_post_kick t q ~data ~doorbell =
+  let attempts = ref 0 in
+  while Virtio.post q ~data = `Full do
+    if !attempts > 3 * Virtio.size q then
+      failwith (Printf.sprintf "virtio %s: ring wedged under backpressure" (Virtio.name q));
+    t.tx_stalls <- t.tx_stalls + 1;
+    Hw.Clock.charge (clock t) "virtio_tx_stall" Hw.Cost.virtio_frontend_work;
+    host_service_pass t;
+    incr attempts
+  done;
+  ignore (Virtio.kick q ~doorbell)
 
 let spawn t =
   let pid = t.next_pid in
@@ -276,7 +308,7 @@ let do_write t task fd data : Syscall.result =
              the guest until a host service pass makes room. *)
           if t.platform.Platform.virtualized_io then begin
             let io = ensure_io t in
-            guest_post_kick t io.tx ~data ~kind:Platform.Net_tx ~target:`Net_tx
+            guest_post_kick t io.tx ~data ~doorbell:io.tx_doorbell
           end;
           (match Net.send t.wire ep data with
           | Ok n -> Syscall.Rint n
@@ -352,7 +384,7 @@ let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
               let size = min (Tmpfs.size f.Task.inode) (8 * 4096) in
               let data = Tmpfs.read t.fs f.Task.inode ~off:0 ~n:(max size 1) in
               let io = ensure_io t in
-              guest_post_kick t io.blk ~data ~kind:Platform.Blk_write ~target:`Blk
+              guest_post_kick t io.blk ~data ~doorbell:io.blk_doorbell
           | _ -> ());
           Syscall.Runit)
   | Syscall.Unlink path -> (
@@ -418,57 +450,67 @@ let flush_net t =
     | Some b -> b.service_now ()
     | None -> ignore (host_service_net_tx t ~handle:ignore)
 
-(* A batch of packets arrives from outside for socket [sid]: the guest
-   replenishes RX buffer credit (kicking through EVENT_IDX), the host
-   DMAs the payloads into the posted buffers and injects one interrupt
-   for the batch; the guest's handler reclaims them into the socket
-   queue. *)
-let deliver_packets t ~sid payloads =
+(* Every frame queued in [frames] arrives from outside for socket
+   [sid], and the ring is left empty: the guest replenishes RX buffer
+   credit (kicking through EVENT_IDX), the host DMAs the payloads into
+   the posted buffers and injects one interrupt for the batch; the
+   guest's handler reclaims them into the socket queue.  Frames that
+   bypass the rings are copied, so the socket never keeps a sender's
+   buffer.  The ring is read in place and emptied at the end; nothing
+   this delivery triggers (the RX doorbell only replenishes credit, the
+   interrupt runs host handlers) delivers from it again. *)
+let enqueue_copies (ep : Net.endpoint) frames ~from ~n =
+  for i = from to n - 1 do
+    Net.Frames.push ep.Net.rx (Bytes.copy (Net.Frames.get frames i));
+    ep.Net.rx_packets <- ep.Net.rx_packets + 1
+  done
+
+let deliver_packets t ~sid (frames : Net.Frames.t) =
+  let n = Net.Frames.length frames in
   match Hashtbl.find_opt t.sockets sid with
-  | None -> Error `No_socket
+  | None ->
+      Net.Frames.drop frames n;
+      Error `No_socket
   | Some ep ->
-      let enqueue payload =
-        Queue.add (-1, payload) ep.Net.rx;
-        ep.Net.rx_packets <- ep.Net.rx_packets + 1
-      in
-      if t.platform.Platform.virtualized_io && payloads <> [] then begin
+      if t.platform.Platform.virtualized_io && n > 0 then begin
         let io = ensure_io t in
-        List.iter
-          (fun p ->
-            match Virtio.post_buffer io.rx ~capacity:(max 64 (Bytes.length p)) with
-            | `Posted | `Full -> ())
-          payloads;
-        ignore
-          (Virtio.kick io.rx ~doorbell:(fun () ->
-               t.platform.Platform.hypercall Platform.Net_rx_ack;
-               match t.io_backend with Some b -> b.kicked `Net_rx | None -> ()));
+        for i = 0 to n - 1 do
+          match Virtio.post_buffer io.rx ~capacity:(max 64 (Bytes.length (Net.Frames.get frames i))) with
+          | `Posted | `Full -> ()
+        done;
+        ignore (Virtio.kick io.rx ~doorbell:io.rx_doorbell);
         Hw.Clock.charge_id (clock t) Hw.Clock.id_virtio_service Hw.Cost.virtio_backend_service;
-        let missed = List.filter (fun p -> not (Virtio.fill io.rx ~data:p)) payloads in
-        let injected =
-          Virtio.complete ~force:true io.rx ~inject:(fun () ->
-              t.irq_count <- t.irq_count + 1;
-              t.platform.Platform.deliver_irq ())
-        in
-        let received = if injected then Virtio.reclaim io.rx else [] in
-        List.iter enqueue received;
+        (* No credit is posted mid-batch, so once a fill fails every
+           later one does: the unfilled frames are a suffix. *)
+        let filled = ref 0 in
+        for i = 0 to n - 1 do
+          if Virtio.fill io.rx ~data:(Net.Frames.get frames i) then incr filled
+        done;
+        let injected = Virtio.complete ~force:true io.rx ~inject:io.inject_irq in
+        if injected then begin
+          let before = Net.Frames.length ep.Net.rx in
+          Virtio.reclaim ~into:ep.Net.rx io.rx;
+          ep.Net.rx_packets <- ep.Net.rx_packets + (Net.Frames.length ep.Net.rx - before)
+        end;
         (* Ring credit exhausted (undersized test queues): deliver the
            overflow directly so no packet is lost, with the legacy
            per-batch interrupt if the ring path injected nothing. *)
-        List.iter enqueue missed;
-        if not injected then begin
-          t.irq_count <- t.irq_count + 1;
-          t.platform.Platform.deliver_irq ()
-        end
+        enqueue_copies ep frames ~from:!filled ~n;
+        if not injected then io.inject_irq ()
       end
       else begin
-        List.iter enqueue payloads;
+        enqueue_copies ep frames ~from:0 ~n;
         t.irq_count <- t.irq_count + 1;
         t.platform.Platform.deliver_irq ()
       end;
+      Net.Frames.drop frames n;
       Ok ()
 
 (* A single packet arrives from outside for socket [sid]. *)
-let deliver_packet t ~sid payload = deliver_packets t ~sid [ payload ]
+let deliver_packet t ~sid payload =
+  let frames = Net.Frames.create () in
+  Net.Frames.push frames payload;
+  deliver_packets t ~sid frames
 
 let socket_endpoint t sid = Hashtbl.find_opt t.sockets sid
 let wire t = t.wire

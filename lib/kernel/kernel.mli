@@ -49,9 +49,11 @@ val flush_net : t -> unit
     the batching granularity (per request, or per event-loop
     iteration for pipelined servers). *)
 
-val deliver_packets : t -> sid:int -> Bytes.t list -> (unit, [ `No_socket ]) result
-(** A batch of packets arrives for a socket: one RX service + one
-    interrupt for the whole batch. *)
+val deliver_packets : t -> sid:int -> Net.Frames.t -> (unit, [ `No_socket ]) result
+(** Every frame queued in the ring arrives for a socket, and the ring
+    is left empty (also on [`No_socket], where the frames are dropped):
+    one RX service + one interrupt for the whole batch.  The socket
+    receives copies, never the senders' buffers. *)
 
 val deliver_packet : t -> sid:int -> Bytes.t -> (unit, [ `No_socket ]) result
 (** Single-packet delivery (service + interrupt per packet). *)
@@ -90,6 +92,10 @@ val io_devices : t -> (Virtio.t * Virtio.t * Virtio.t) option
 (** The (net-tx, net-rx, blk) queue triple — [None] until the kernel's
     first virtualized I/O creates them. *)
 
+val io_outstanding : t -> bool
+(** Whether the TX or blk queue holds chains the host has not yet
+    serviced (false before the queues exist).  Allocates nothing. *)
+
 val io_window : t -> int
 (** The configured EVENT_IDX window (0 = naive). *)
 
@@ -101,12 +107,11 @@ val tx_stalls : t -> int
 (** Times a guest blocked on a full ring until a host service pass made
     room (graceful backpressure). *)
 
-val host_service_net_tx : ?force_irq:bool -> t -> handle:(Bytes.t -> unit) -> int
+val host_service_net_tx : t -> handle:(Bytes.t -> unit) -> int
 (** Host: service the TX queue, passing each payload to [handle];
-    inject the completion interrupt ([force_irq], default true, bounds
-    batch latency) and run the guest reclaim. Returns chains
-    serviced. *)
+    inject the completion interrupt (forced: it bounds batch latency)
+    and run the guest reclaim. Returns chains serviced. *)
 
-val host_service_blk : ?force_irq:bool -> t -> handle:(Bytes.t -> unit) -> int
+val host_service_blk : t -> handle:(Bytes.t -> unit) -> int
 (** Host: service the blk queue into the attached block sink (or
     [handle] when standalone), charging per-sector I/O cost. *)

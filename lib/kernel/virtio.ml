@@ -79,9 +79,11 @@ let ring_word t i = 2 + (i mod t.size)
 let event_word t = 2 + t.size
 
 (* Ring words and payload pages are addressed in the allocator's pfn
-   namespace and translated to host frames on every access. *)
-let rd t pfn i = Hw.Phys_mem.read_entry t.mem ~pfn:(t.guest_frame pfn) ~index:i
-let wr t pfn i v = Hw.Phys_mem.write_entry t.mem ~pfn:(t.guest_frame pfn) ~index:i v
+   namespace and translated to host frames on every access.  Every ring
+   word fits in 56 bits (a descriptor word is 32 + 8 + 16), so the
+   words travel as OCaml ints and no access boxes an [int64]. *)
+let rd t pfn i = Hw.Phys_mem.read_word t.mem ~pfn:(t.guest_frame pfn) ~index:i
+let wr t pfn i v = Hw.Phys_mem.write_word t.mem ~pfn:(t.guest_frame pfn) ~index:i v
 
 let create ?(size = 64) ?(window = 1) ~name (p : Platform.t) =
   if size < 2 || size > max_size then invalid_arg "Virtio.create: size must be in 2..256";
@@ -121,13 +123,13 @@ let create ?(size = 64) ?(window = 1) ~name (p : Platform.t) =
   (* Publish the static half of the descriptor table (buffer pfns) and
      zero the ring indices / event fields. *)
   for i = 0 to size - 1 do
-    wr t t.desc_page (2 * i) (Int64.of_int t.bufs.(i));
-    wr t t.desc_page ((2 * i) + 1) 0L
+    wr t t.desc_page (2 * i) t.bufs.(i);
+    wr t t.desc_page ((2 * i) + 1) 0
   done;
-  wr t t.avail_page idx_word 0L;
-  wr t t.avail_page (event_word t) 0L;
-  wr t t.used_page idx_word 0L;
-  wr t t.used_page (event_word t) 0L;
+  wr t t.avail_page idx_word 0;
+  wr t t.avail_page (event_word t) 0;
+  wr t t.used_page idx_word 0;
+  wr t t.used_page (event_word t) 0;
   Hw.Clock.charge t.clock "virtio_ring_init" (3.0 *. Hw.Cost.page_zero);
   t
 
@@ -155,18 +157,13 @@ let flag_next = 1
 let flag_write = 2
 
 let write_desc t id ~len ~flags ~next =
-  wr t t.desc_page ((2 * id) + 1)
-    (Int64.logor (Int64.of_int (len land 0xFFFFFFFF))
-       (Int64.logor
-          (Int64.shift_left (Int64.of_int flags) 32)
-          (Int64.shift_left (Int64.of_int next) 40)))
+  wr t t.desc_page ((2 * id) + 1) (len land 0xFFFFFFFF lor (flags lsl 32) lor (next lsl 40))
 
-let read_desc t id =
-  let w = rd t t.desc_page ((2 * id) + 1) in
-  let len = Int64.to_int (Int64.logand w 0xFFFFFFFFL) in
-  let flags = Int64.to_int (Int64.logand (Int64.shift_right_logical w 32) 0xFFL) in
-  let next = Int64.to_int (Int64.logand (Int64.shift_right_logical w 40) 0xFFFFL) in
-  (len, flags, next)
+(* Fields of descriptor [id]'s len/flags/next word. *)
+let desc_word t id = rd t t.desc_page ((2 * id) + 1)
+let desc_len w = w land 0xFFFFFFFF
+let desc_flags w = (w lsr 32) land 0xFF
+let desc_next w = (w lsr 40) land 0xFFFF
 
 (* Chain walks are explicit loops over the descriptor words (the
    payload page of descriptor [id] is word [2*id] of the table, kept in
@@ -177,9 +174,9 @@ let read_desc t id =
 let chain_copy_out t head data ~limit =
   let id = ref head and off = ref 0 and more = ref true in
   while !more do
-    let _, flags, next = read_desc t !id in
+    let w = desc_word t !id in
     if !off < limit then off := !off + copy_from_page t t.bufs.(!id) data ~off:!off;
-    if flags land flag_next <> 0 then id := next else more := false
+    if desc_flags w land flag_next <> 0 then id := desc_next w else more := false
   done
 
 (* Copy [data] into the chain's payload pages. *)
@@ -187,18 +184,18 @@ let chain_copy_in t head data =
   let limit = Bytes.length data in
   let id = ref head and off = ref 0 and more = ref true in
   while !more do
-    let _, flags, next = read_desc t !id in
+    let w = desc_word t !id in
     if !off < limit then off := !off + copy_into_page t t.bufs.(!id) data ~off:!off;
-    if flags land flag_next <> 0 then id := next else more := false
+    if desc_flags w land flag_next <> 0 then id := desc_next w else more := false
   done
 
 (* Total bytes carried by the chain. *)
 let chain_len t head =
   let id = ref head and total = ref 0 and more = ref true in
   while !more do
-    let len, flags, next = read_desc t !id in
-    total := !total + len;
-    if flags land flag_next <> 0 then id := next else more := false
+    let w = desc_word t !id in
+    total := !total + desc_len w;
+    if desc_flags w land flag_next <> 0 then id := desc_next w else more := false
   done;
   !total
 
@@ -207,10 +204,10 @@ let chain_len t head =
 let chain_free t head =
   let id = ref head and more = ref true in
   while !more do
-    let _, flags, next = read_desc t !id in
+    let w = desc_word t !id in
     t.free_stack.(t.n_free) <- !id;
     t.n_free <- t.n_free + 1;
-    if flags land flag_next <> 0 then id := next else more := false
+    if desc_flags w land flag_next <> 0 then id := desc_next w else more := false
   done
 
 (* Pop [npages] free descriptors and link them as one chain carrying
@@ -231,23 +228,23 @@ let build_chain t ~npages ~len ~write =
 
 (* ---------------- guest side ---------------- *)
 
-(* Consume published used entries: free their descriptors and (for
-   device-written chains) read the payload back out of guest memory.
-   Returns the device-written payloads, oldest first. *)
-let reclaim t =
-  let out = ref [] in
+(* Consume published used entries and free their descriptors.  A
+   device-written chain's payload is read back out of guest memory into
+   a fresh [Bytes.t] and pushed on [into], oldest first (and dropped
+   without [into], as the opportunistic reclaim of a full ring does). *)
+let reclaim ?into t =
   while t.last_used_seen < t.used_idx do
     let e = rd t t.used_page (ring_word t t.last_used_seen) in
-    let head = Int64.to_int (Int64.logand e 0xFFFFL) in
-    let len = Int64.to_int (Int64.logand (Int64.shift_right_logical e 32) 0xFFFFFFFFL) in
+    let head = e land 0xFFFF in
+    let len = (e lsr 32) land 0xFFFFFFFF in
     if head >= 0 && head < t.size && t.head_ndesc.(head) >= 0 then begin
       (* known in-flight chain; anything else is a forged/duplicate
          used entry: nothing to free *)
       if Bytes.get t.head_writes head <> '\000' && len > 0 then begin
         let data = Bytes.create len in
         chain_copy_out t head data ~limit:len;
-        Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte);
-        out := data :: !out
+        Hw.Clock.charge_copy t.clock Hw.Clock.id_virtio_copy ~base:0.0 ~bytes:len;
+        match into with Some frames -> Net.Frames.push frames data | None -> ()
       end;
       chain_free t head;
       t.head_ndesc.(head) <- -1;
@@ -256,40 +253,39 @@ let reclaim t =
     t.last_used_seen <- t.last_used_seen + 1
   done;
   (* Re-arm interrupt suppression for the entries we just consumed. *)
-  if t.window >= 1 then
-    wr t t.avail_page (event_word t) (Int64.of_int (t.last_used_seen + t.window - 1));
-  List.rev !out
+  if t.window >= 1 then wr t t.avail_page (event_word t) (t.last_used_seen + t.window - 1)
+
+(* Pop and publish one chain when [npages] descriptors are free. *)
+let try_post t ~data ~len ~npages ~write =
+  if t.n_free < npages then false
+  else begin
+    let head = build_chain t ~npages ~len ~write in
+    if not write then begin
+      (* Frontend copies the payload into the DMA buffers. *)
+      chain_copy_in t head data;
+      Hw.Clock.charge_copy t.clock Hw.Clock.id_virtio_copy ~base:0.0 ~bytes:len
+    end;
+    if t.head_ndesc.(head) < 0 then t.n_heads <- t.n_heads + 1;
+    t.head_ndesc.(head) <- npages;
+    t.head_len.(head) <- len;
+    Bytes.set t.head_writes head (if write then '\001' else '\000');
+    wr t t.avail_page (ring_word t t.avail_idx) head;
+    t.avail_idx <- t.avail_idx + 1;
+    wr t t.avail_page idx_word t.avail_idx;
+    Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_post Hw.Cost.virtio_frontend_work;
+    true
+  end
 
 let post_chain t ~data ~capacity ~write =
   let len = if write then capacity else Bytes.length data in
   let npages = max 1 ((len + bytes_per_page - 1) / bytes_per_page) in
   if npages > t.size then invalid_arg "Virtio.post: payload larger than the whole ring";
-  let attempt () =
-    if t.n_free < npages then false
-    else begin
-      let head = build_chain t ~npages ~len ~write in
-      if not write then begin
-        (* Frontend copies the payload into the DMA buffers. *)
-        chain_copy_in t head data;
-        Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte)
-      end;
-      if t.head_ndesc.(head) < 0 then t.n_heads <- t.n_heads + 1;
-      t.head_ndesc.(head) <- npages;
-      t.head_len.(head) <- len;
-      Bytes.set t.head_writes head (if write then '\001' else '\000');
-      wr t t.avail_page (ring_word t t.avail_idx) (Int64.of_int head);
-      t.avail_idx <- t.avail_idx + 1;
-      wr t t.avail_page idx_word (Int64.of_int t.avail_idx);
-      Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_post Hw.Cost.virtio_frontend_work;
-      true
-    end
-  in
-  if attempt () then `Posted
+  if try_post t ~data ~len ~npages ~write then `Posted
   else begin
     (* Opportunistically reclaim already-published completions (a real
        driver checks the used ring before declaring the queue full). *)
-    ignore (reclaim t);
-    if attempt () then `Posted else `Full
+    reclaim t;
+    if try_post t ~data ~len ~npages ~write then `Posted else `Full
   end
 
 let post t ~data = post_chain t ~data ~capacity:0 ~write:false
@@ -303,7 +299,7 @@ let kick t ~doorbell =
     else if t.window = 0 then true
     else begin
       Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_event_idx Hw.Cost.event_idx_check;
-      let ev = Int64.to_int (rd t t.used_page (event_word t)) in
+      let ev = rd t t.used_page (event_word t) in
       ev >= t.kick_old && ev < t.avail_idx
     end
   in
@@ -321,32 +317,30 @@ let kick t ~doorbell =
 (* ---------------- host side ---------------- *)
 
 let publish_used t ~head ~len =
-  wr t t.used_page (ring_word t t.used_idx)
-    (Int64.logor (Int64.of_int (head land 0xFFFF)) (Int64.shift_left (Int64.of_int len) 32));
+  wr t t.used_page (ring_word t t.used_idx) (head land 0xFFFF lor (len lsl 32));
   t.used_idx <- t.used_idx + 1;
-  wr t t.used_page idx_word (Int64.of_int t.used_idx);
+  wr t t.used_page idx_word t.used_idx;
   t.unsignaled <- t.unsignaled + 1;
   t.serviced_total <- t.serviced_total + 1
 
 let rearm_avail_event t =
   if t.window >= 1 then
-    wr t t.used_page (event_word t) (Int64.of_int (t.last_avail_seen + t.window - 1))
+    wr t t.used_page (event_word t) (t.last_avail_seen + t.window - 1)
 
 (* Service pending device-readable chains (TX semantics): read each
    payload out of guest memory, hand it to [handle], publish the used
    entry.  Returns the number of chains serviced. *)
 let service t ~handle =
-  let avail = Int64.to_int (rd t t.avail_page idx_word) in
+  let avail = rd t t.avail_page idx_word in
   let n = avail - t.last_avail_seen in
   if n > 0 then begin
     Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_service Hw.Cost.virtio_backend_service;
     while t.last_avail_seen < avail do
-      let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
+      let head = rd t t.avail_page (ring_word t t.last_avail_seen) in
       let total = chain_len t head in
       let data = Bytes.create total in
       chain_copy_out t head data ~limit:total;
-      Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy
-        (float_of_int total *. Hw.Cost.copy_byte);
+      Hw.Clock.charge_copy t.clock Hw.Clock.id_virtio_copy ~base:0.0 ~bytes:total;
       publish_used t ~head ~len:total;
       t.last_avail_seen <- t.last_avail_seen + 1;
       handle data
@@ -358,13 +352,13 @@ let service t ~handle =
 (* Fill one posted device-writable buffer with [data] (RX semantics);
    false when the guest has no buffer credit posted. *)
 let fill t ~data =
-  let avail = Int64.to_int (rd t t.avail_page idx_word) in
+  let avail = rd t t.avail_page idx_word in
   if t.last_avail_seen >= avail then false
   else begin
-    let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
+    let head = rd t t.avail_page (ring_word t t.last_avail_seen) in
     let len = Bytes.length data in
     chain_copy_in t head data;
-    Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte);
+    Hw.Clock.charge_copy t.clock Hw.Clock.id_virtio_copy ~base:0.0 ~bytes:len;
     publish_used t ~head ~len;
     t.last_avail_seen <- t.last_avail_seen + 1;
     rearm_avail_event t;
@@ -381,7 +375,7 @@ let complete ?(force = false) t ~inject =
       if force || t.window = 0 then true
       else begin
         Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_event_idx Hw.Cost.event_idx_check;
-        let ev = Int64.to_int (rd t t.avail_page (event_word t)) in
+        let ev = rd t t.avail_page (event_word t) in
         ev >= t.complete_old && ev < t.used_idx
       end
     in

@@ -44,9 +44,10 @@ val kick : t -> doorbell:(unit -> unit) -> bool
     mechanism) unless EVENT_IDX suppresses it; returns whether it
     rang.  Emits an [Io_doorbell] probe when it does. *)
 
-val reclaim : t -> Bytes.t list
+val reclaim : ?into:Net.Frames.t -> t -> unit
 (** Guest: consume published used entries, freeing their descriptors;
-    returns the payloads of device-written (RX) chains, oldest first.
+    the payloads of device-written (RX) chains are read out into fresh
+    bytes and pushed on [into], oldest first (dropped without it).
     Re-arms used_event for interrupt suppression. *)
 
 val service : t -> handle:(Bytes.t -> unit) -> int

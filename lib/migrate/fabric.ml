@@ -155,7 +155,7 @@ let deliver t ~name frame =
   if ep.ep_frozen then Queue.add frame ep.ep_buffer
   else if not (node t ep.ep_home).alive then ep.ep_dropped <- ep.ep_dropped + 1
   else begin
-    Queue.add frame ep.ep_port.Ioplane.Switch.inbox;
+    Kernel_model.Net.Frames.push ep.ep_port.Ioplane.Switch.inbox frame;
     ep.ep_delivered <- ep.ep_delivered + 1
   end
 
@@ -177,7 +177,7 @@ let unfreeze t ~name =
   let replayed = Queue.length ep.ep_buffer in
   Queue.iter
     (fun frame ->
-      Queue.add frame ep.ep_port.Ioplane.Switch.inbox;
+      Kernel_model.Net.Frames.push ep.ep_port.Ioplane.Switch.inbox frame;
       ep.ep_delivered <- ep.ep_delivered + 1)
     ep.ep_buffer;
   Queue.clear ep.ep_buffer;

@@ -10,6 +10,25 @@ val percentile : float list -> p:float -> float
 val percentiles : float list -> ps:float list -> float list
 (** [percentile] at each of [ps], sorting the sample once. *)
 
+(** A growable, unboxed buffer of float samples.  [mean], [percentile]
+    and [percentiles] read it newest first, so they are bit-identical
+    to the list functions above applied to a list built by consing
+    each sample on as it was added. *)
+module Samples : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  val add : t -> float -> unit
+  val length : t -> int
+
+  val clear : t -> unit
+  (** Drop every sample, keeping the storage. *)
+
+  val mean : t -> float
+  val percentile : t -> p:float -> float
+  val percentiles : t -> ps:float list -> float list
+end
+
 val normalize : baseline:float -> float list -> float list
 (** Each value divided by [baseline]. *)
 

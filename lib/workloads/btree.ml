@@ -76,16 +76,15 @@ let rec insert_nonfull arena n key value =
     n.values.(pos) <- value;
     n.nkeys <- n.nkeys + 1
   end
-  else begin
-    let pos =
-      if n.children.(pos).nkeys = order then begin
-        split_child arena n pos;
-        if key > n.keys.(pos) then pos + 1 else pos
-      end
-      else pos
-    in
-    insert_nonfull arena n.children.(pos) key value
+  else if n.children.(pos).nkeys = order then begin
+    split_child arena n pos;
+    (* The split promoted the child's middle key into [n.keys.(pos)];
+       when that is [key] itself, update it here rather than insert a
+       duplicate below, which [lookup] would never reach. *)
+    if key = n.keys.(pos) then n.values.(pos) <- value
+    else insert_nonfull arena n.children.(if key > n.keys.(pos) then pos + 1 else pos) key value
   end
+  else insert_nonfull arena n.children.(pos) key value
 
 (* Value payload stored out-of-line per entry (the KV-store part). *)
 let entry_bytes = 256

@@ -19,6 +19,9 @@ type server = {
   sock_id : int;
   store : (int, Bytes.t) Hashtbl.t;
   value_size : int;
+  value : Bytes.t;
+      (** what every SET stores: contents are not simulated, only the
+          [value_size] bytes a GET hit sends back *)
   mutable requests : int;
 }
 
@@ -58,8 +61,9 @@ let create_server (b : Virt.Backend.t) flavor =
     task;
     sock_fd;
     sock_id;
-    store = Hashtbl.create 65536;
+    store = Hashtbl.create 1024;
     value_size = 500;
+    value = Bytes.create 500;
     requests = 0;
   }
 
@@ -87,7 +91,7 @@ let handle_request srv (req : request) =
   let reply =
     match req with
     | Set (key : int) ->
-        Hashtbl.replace srv.store key (Bytes.create srv.value_size);
+        Hashtbl.replace srv.store key srv.value;
         Bytes.of_string "STORED"
     | Get key -> (
         match Hashtbl.find_opt srv.store key with
@@ -105,10 +109,9 @@ let handle_request srv (req : request) =
 let serve_batch srv (reqs : request list) =
   let b = srv.backend in
   let k = b.Virt.Backend.kernel in
-  (match
-     Kernel_model.Kernel.deliver_packets k ~sid:srv.sock_id
-       (List.map (fun r -> encode_request r srv.value_size) reqs)
-   with
+  let frames = Kernel_model.Net.Frames.create () in
+  List.iter (fun r -> Kernel_model.Net.Frames.push frames (encode_request r srv.value_size)) reqs;
+  (match Kernel_model.Kernel.deliver_packets k ~sid:srv.sock_id frames with
   | Ok () -> ()
   | Error `No_socket -> failwith "kv: no socket");
   List.iter (handle_request srv) reqs;

@@ -20,6 +20,9 @@ type server = {
   sock_id : int;
   store : (int, Bytes.t) Hashtbl.t;
   value_size : int;
+  value : Bytes.t;
+      (** what every SET stores: contents are not simulated, only the
+          [value_size] bytes a GET hit sends back *)
   mutable requests : int;
 }
 

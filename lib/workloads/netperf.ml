@@ -54,7 +54,7 @@ let run_rr (b : Virt.Backend.t) ~transactions =
   let total_ns =
     Profile.timed b (fun () ->
         for _ = 1 to transactions do
-          (match Kernel_model.Kernel.deliver_packets k ~sid:sock_id [ one ] with
+          (match Kernel_model.Kernel.deliver_packet k ~sid:sock_id one with
           | Ok () -> ()
           | Error `No_socket -> failwith "netperf: delivery failed");
           ignore

@@ -79,8 +79,8 @@ let serve_one srv =
       (* forward to upstream and await its reply *)
       sys (Kernel_model.Syscall.Send { fd = srv.upstream_fd; data = Bytes.create 512 });
       (match
-         Kernel_model.Kernel.deliver_packets b.Virt.Backend.kernel ~sid:srv.upstream_id
-           [ Bytes.create file_bytes ]
+         Kernel_model.Kernel.deliver_packet b.Virt.Backend.kernel ~sid:srv.upstream_id
+           (Bytes.create file_bytes)
        with
       | Ok () -> ()
       | Error `No_socket -> failwith "proxy upstream");
@@ -103,15 +103,16 @@ let serve_one srv =
 let run (b : Virt.Backend.t) kind ~requests =
   let srv = create b kind in
   let k = b.Virt.Backend.kernel in
+  let frames = Kernel_model.Net.Frames.create () in
   let total_ns =
     Profile.timed b (fun () ->
         let served = ref 0 in
         while !served < requests do
           let n = min rx_batch (requests - !served) in
-          (match
-             Kernel_model.Kernel.deliver_packets k ~sid:srv.sock_id
-               (List.init n (fun _ -> Bytes.create 512))
-           with
+          for _ = 1 to n do
+            Kernel_model.Net.Frames.push frames (Bytes.create 512)
+          done;
+          (match Kernel_model.Kernel.deliver_packets k ~sid:srv.sock_id frames with
           | Ok () -> ()
           | Error `No_socket -> failwith "webserver delivery");
           for _ = 1 to n do

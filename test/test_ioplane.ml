@@ -11,6 +11,10 @@ let check_bool = check bool
 
 (* ----------------------------- Switch ----------------------------- *)
 
+(* Pop every frame queued at a port, oldest first. *)
+let drain_port (p : Ioplane.Switch.port) =
+  List.init (Ioplane.Switch.pending p) (fun _ -> Kernel_model.Net.Frames.pop p.Ioplane.Switch.inbox)
+
 let test_switch_forward () =
   let clock = Hw.Clock.create () in
   let sw = Ioplane.Switch.create clock in
@@ -20,7 +24,7 @@ let test_switch_forward () =
   Ioplane.Switch.forward sw ~src:a (Bytes.of_string "hello");
   Ioplane.Switch.forward sw ~src:a (Bytes.of_string "world");
   check_int "b has two frames" 2 (Ioplane.Switch.pending b);
-  (match Ioplane.Switch.drain b with
+  (match drain_port b with
   | [ x; y ] ->
       check string "fifo order" "hello" (Bytes.to_string x);
       check string "fifo order 2" "world" (Bytes.to_string y)
@@ -317,6 +321,53 @@ let test_capture_rejects_active_rings () =
   | Error (Snapshot.Capture.Device_active _) -> fail "still claims active rings after quiesce"
   | Ok _ | Error _ -> ()
 
+(* ------------------------- Allocation budget ------------------------ *)
+
+(* One warmed CKI lane on its own loop: each request runs send -> pump
+   (handler inline) -> tick -> reap.  What is left per request (~111
+   words) is the guest's own work -- syscall records, the RX payload
+   the guest reads back out of its ring, the gate exits -- plus the
+   reaped timestamp; the lane's rings, the switch inboxes and the
+   loop add nothing.  The budget is that value plus headroom; the
+   queue-and-list path took ~494 words, and 17 per idle tick. *)
+let alloc_words_per_request = 120.0
+
+let test_lane_alloc_budget () =
+  let c = Cki.Container.create_standalone ~mem_mib:256 () in
+  let b = Cki.Container.backend c in
+  let clock = b.Virt.Backend.clock in
+  let loop = Ioplane.Loop.create clock in
+  let rand = Ioplane.Serve.xorshift (ref 0x2545F4914F6CDD1D) in
+  let lane =
+    Ioplane.Serve.Lane.attach ~loop ~workload:Ioplane.Serve.Kv_memcached ~rand ~name:"budget" b
+  in
+  let cycle () =
+    Ioplane.Serve.Lane.send lane ~ts:(Hw.Clock.now clock);
+    ignore (Ioplane.Serve.Lane.pump lane);
+    ignore (Ioplane.Loop.tick loop);
+    ignore (Ioplane.Serve.Lane.reap lane)
+  in
+  for _ = 1 to 200 do
+    cycle ()
+  done;
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "every request reaped" 0 (Ioplane.Serve.Lane.inflight lane);
+  if per_request > alloc_words_per_request then
+    failf "%.1f minor words per request, budget %.0f" per_request alloc_words_per_request;
+  while Ioplane.Loop.tick loop > 0 do
+    ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Ioplane.Loop.tick loop)
+  done;
+  check (float 0.0) "idle ticks allocate nothing" 0.0 (Gc.minor_words () -. w0)
+
 let suite =
   [
     ( "ioplane-switch",
@@ -340,4 +391,5 @@ let suite =
         test_case "coalescing strictly reduces counts" `Quick test_parity_coalescing_reduces;
         test_case "capture refuses active rings" `Quick test_capture_rejects_active_rings;
       ] );
+    ("ioplane-alloc", [ test_case "lane request path within budget" `Quick test_lane_alloc_budget ]);
   ]

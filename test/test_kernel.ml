@@ -411,7 +411,7 @@ let test_virtio_queue () =
   check_bool "completion" true (Kernel_model.Virtio.complete q ~inject:(fun () -> incr irqs));
   check_int "one interrupt" 1 !irqs;
   check_bool "no double complete" false (Kernel_model.Virtio.complete q ~inject:(fun () -> incr irqs));
-  ignore (Kernel_model.Virtio.reclaim q);
+  Kernel_model.Virtio.reclaim q;
   check_int "all reclaimed" 0 (Kernel_model.Virtio.unreclaimed q)
 
 let test_virtio_backpressure () =
@@ -454,6 +454,91 @@ let test_virtio_event_idx () =
     ignore (Kernel_model.Virtio.kick q0 ~doorbell:(fun () -> incr rings0))
   done;
   check_int "naive rings every time" 3 !rings0
+
+(* The exact ring words a TX post/kick/service/complete/reclaim cycle, a
+   two-page chain and an RX fill leave in guest memory, read back as
+   raw 64-bit entries: descriptor word = len | flags<<32 | next<<40,
+   used entry = id | len<<32, plus the idx and event words. *)
+let test_virtio_ring_layout () =
+  let p = bare_platform () in
+  let frames = ref [] in
+  let p =
+    {
+      p with
+      Kernel_model.Platform.alloc_frame =
+        (fun () ->
+          let f = p.Kernel_model.Platform.alloc_frame () in
+          frames := f :: !frames;
+          f);
+    }
+  in
+  let word pfn i =
+    Hw.Phys_mem.read_entry p.Kernel_model.Platform.mem ~pfn:(p.Kernel_model.Platform.guest_frame pfn)
+      ~index:i
+  in
+  let check_word what expect pfn i = check int64 what expect (word pfn i) in
+  (* Find the pages by what the queue wrote: the descriptor table
+     names the four payload pages in its even words; of the other two,
+     the avail page is the one whose idx a post moves. *)
+  let ring_pages () =
+    let fs = !frames in
+    frames := [];
+    let desc =
+      List.find
+        (fun d -> List.for_all (fun i -> List.mem (Int64.to_int (word d (2 * i))) fs) [ 0; 1; 2; 3 ])
+        fs
+    in
+    let bufs = Array.init 4 (fun i -> Int64.to_int (word desc (2 * i))) in
+    let rest = List.filter (fun f -> f <> desc && not (Array.mem f bufs)) fs in
+    (desc, bufs, rest)
+  in
+  let q = Kernel_model.Virtio.create ~size:4 ~window:1 ~name:"tx" p in
+  let desc, bufs, rest = ring_pages () in
+  check_int "avail and used pages besides" 2 (List.length rest);
+  check_bool "post" true (Kernel_model.Virtio.post q ~data:(Bytes.make 100 'a') = `Posted);
+  let avail, used =
+    match List.partition (fun f -> word f 1 = 1L) rest with
+    | [ a ], [ u ] -> (a, u)
+    | _ -> fail "avail and used pages"
+  in
+  check_word "desc 0: 100 bytes, no flags" 100L desc 1;
+  check_word "payload packed little-endian" 0x6161616161616161L bufs.(0) 0;
+  check_word "avail ring[0] = head 0" 0L avail 2;
+  check_word "avail idx" 1L avail 1;
+  check_bool "kick" true (Kernel_model.Virtio.kick q ~doorbell:ignore);
+  check_int "service" 1 (Kernel_model.Virtio.service q ~handle:ignore);
+  check_word "used ring[0] = id 0 | 100<<32" (Int64.shift_left 100L 32) used 2;
+  check_word "used idx" 1L used 1;
+  check_word "avail_event re-armed" 1L used 6;
+  check_bool "complete" true (Kernel_model.Virtio.complete q ~inject:ignore);
+  Kernel_model.Virtio.reclaim q;
+  check_word "used_event re-armed" 1L avail 6;
+  (* 5000 bytes ride a two-descriptor chain: 0 -> 1. *)
+  check_bool "post chain" true (Kernel_model.Virtio.post q ~data:(Bytes.make 5000 'c') = `Posted);
+  check_word "desc 0: a page, NEXT, next 1"
+    (Int64.logor 4096L (Int64.logor (Int64.shift_left 1L 32) (Int64.shift_left 1L 40)))
+    desc 1;
+  check_word "desc 1: the tail" 904L desc 3;
+  check_word "avail ring[1] = head 0" 0L avail 3;
+  check_word "avail idx 2" 2L avail 1;
+  check_int "service chain" 1 (Kernel_model.Virtio.service q ~handle:ignore);
+  check_word "used ring[1] = id 0 | 5000<<32" (Int64.shift_left 5000L 32) used 3;
+  check_word "used idx 2" 2L used 1;
+  check_word "avail_event 2" 2L used 6;
+  (* RX: a device-writable buffer, filled by the host. *)
+  let rx = Kernel_model.Virtio.create ~size:4 ~window:1 ~name:"rx" p in
+  let desc, _, rest = ring_pages () in
+  check_bool "post buffer" true (Kernel_model.Virtio.post_buffer rx ~capacity:64 = `Posted);
+  let used = List.find (fun f -> word f 1 = 0L) rest in
+  check_word "desc 0: 64 bytes, WRITE" (Int64.logor 64L (Int64.shift_left 2L 32)) desc 1;
+  check_bool "fill" true (Kernel_model.Virtio.fill rx ~data:(Bytes.make 24 'r'));
+  check_word "used ring[0] = id 0 | 24<<32" (Int64.shift_left 24L 32) used 2;
+  check_word "used idx" 1L used 1;
+  let got = Kernel_model.Net.Frames.create () in
+  check_bool "complete rx" true (Kernel_model.Virtio.complete ~force:true rx ~inject:ignore);
+  Kernel_model.Virtio.reclaim ~into:got rx;
+  check_int "one frame reclaimed" 1 (Kernel_model.Net.Frames.length got);
+  check string "its bytes" (String.make 24 'r') (Bytes.to_string (Kernel_model.Net.Frames.pop got))
 
 (* ------------------------------- Net ------------------------------ *)
 
@@ -609,6 +694,7 @@ let suite =
         test_case "post/kick/service/complete" `Quick test_virtio_queue;
         test_case "full ring backpressure" `Quick test_virtio_backpressure;
         test_case "EVENT_IDX suppression" `Quick test_virtio_event_idx;
+        test_case "ring words pinned" `Quick test_virtio_ring_layout;
       ] );
     ("kernel/net", [ test_case "endpoints" `Quick test_net_endpoints ]);
     ( "kernel/syscalls",

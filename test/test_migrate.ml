@@ -117,7 +117,8 @@ let test_fabric_freeze_rehome_replay () =
   check int "unfreeze replays the buffer" 2 replayed;
   let port = Migrate.Fabric.endpoint_port fab "svc" in
   check (list string) "replay preserves order into the new inbox" [ "b"; "c" ]
-    (List.map Bytes.to_string (Ioplane.Switch.drain port));
+    (List.init (Ioplane.Switch.pending port) (fun _ ->
+         Bytes.to_string (Kernel_model.Net.Frames.pop port.Ioplane.Switch.inbox)));
   (* A dead home drops (and counts) instead of buffering forever. *)
   Migrate.Fabric.crash_host fab 1;
   Migrate.Fabric.deliver fab ~name:"svc" (Bytes.of_string "d");

@@ -42,6 +42,22 @@ let prop_btree_matches_hashtbl =
            (fun k -> Workloads.Btree.lookup t k = None)
            (List.filter (fun k -> not (Hashtbl.mem h k)) [ 1001; 1500; 9999 ]))
 
+(* Ascending keys 1..49 leave the root's right leaf full (18..49) with
+   34 at its middle.  Re-inserting 34 splits that leaf and promotes 34
+   into the root, so the update must land on the promoted key. *)
+let test_btree_update_after_split () =
+  let b = runc () in
+  let task = Virt.Backend.spawn b in
+  let t = Workloads.Btree.create b task in
+  for k = 1 to 49 do
+    Workloads.Btree.insert t k k
+  done;
+  Workloads.Btree.insert t 34 999;
+  check (option int) "updated through the split" (Some 999) (Workloads.Btree.lookup t 34);
+  for k = 1 to 49 do
+    if k <> 34 then check (option int) "neighbour untouched" (Some k) (Workloads.Btree.lookup t k)
+  done
+
 let test_btree_insert_causes_faults () =
   let b = runc () in
   let task = Virt.Backend.spawn b in
@@ -238,6 +254,7 @@ let suite =
       [
         test_case "insert/lookup" `Quick test_btree_insert_lookup;
         QCheck_alcotest.to_alcotest prop_btree_matches_hashtbl;
+        test_case "update after a split" `Quick test_btree_update_after_split;
         test_case "inserts cause demand faults" `Quick test_btree_insert_causes_faults;
         test_case "lookup ratio dilutes overhead" `Quick test_btree_ratio_dilutes_overhead;
       ] );
