@@ -1,5 +1,5 @@
 .PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench \
-	artifacts-identical perfbench-smoke bench-pairs clean
+	artifacts-identical experiments-identical perfbench-smoke bench-pairs clean
 
 all: build
 
@@ -72,6 +72,15 @@ artifacts-identical: build
 		fi; \
 	done; \
 	rm -rf $$dir; exit $$status
+
+# Byte-identity of the paper experiments: PARENT (a commit; default
+# HEAD) exported with git archive into a temporary directory and built
+# there, then every experiment id run on both builds and its stdout
+# cmp'd; any difference (or a failed run) fails.
+EXPERIMENTS = table2 table3 table4 fig2 fig4 fig5 fig10 fig11 fig12 fig13 fig14 fig15 fig16 \
+	security quota ablation
+experiments-identical:
+	bash scripts/experiments-identical.sh --parent $(PARENT) $(EXPERIMENTS)
 
 # One-second run of every perfbench workload: each must exit 0 and
 # report "correct": true on its final JSON line.  One more traced

@@ -78,6 +78,7 @@ let check_container (c : Cki.Container.t) : violation list =
   let out = ref [] in
   let add v = out := v :: !out in
   let oname o = Hw.Phys_mem.show_owner o in
+  let mine = Hw.Phys_mem.Container id and mine_ksm = Hw.Phys_mem.Ksm id in
   let read ~pfn ~index = Hw.Phys_mem.read_entry mem ~pfn ~index in
   let in_kernel_image va = va >= Cki.Layout.kernel_image_base && va < Cki.Layout.ksm_base in
   let frozen = Cki.Ksm.kernel_exec_frozen ksm in
@@ -98,55 +99,57 @@ let check_container (c : Cki.Container.t) : violation list =
     if pfn < 0 || pfn >= total then
       add (Outside_delegation { container = id; va; pfn; owner = "out-of-range" })
     else begin
-      (match Hw.Phys_mem.owner mem pfn with
-      | Hw.Phys_mem.Ksm k when k = id ->
-          (* The monitor's own regions (KSM code/data, per-vCPU areas)
-             are the only legitimate mappings of monitor frames, and
-             they carry pkey_ksm so guest rights exclude them. *)
-          if not ((Cki.Layout.in_ksm va || Cki.Layout.in_pervcpu va) && pkey = Hw.Pks.pkey_ksm)
-          then add (Targets_monitor { container = id; va; pfn; owner = oname (Hw.Phys_mem.Ksm k) })
-      | Hw.Phys_mem.Container k when k = id ->
-          if not (Cki.Ksm.owns_frame ksm pfn) then begin
-            (* The guest kernel image is boot-allocated outside the
-               delegated segments: Kernel_code frames are legitimate
-               only read-only inside the image window. *)
-            let image_frame =
-              match Hw.Phys_mem.kind mem pfn with
-              | Hw.Phys_mem.Kernel_code -> in_kernel_image va && not writable
-              | _ -> false
-            in
-            if not image_frame then
-              add
-                (Outside_delegation
-                   { container = id; va; pfn; owner = oname (Hw.Phys_mem.Container k) })
-          end
-          else begin
-            match Cki.Ksm.page_state_of ksm pfn with
-            | Cki.Ksm.Ksm_private ->
-                add
-                  (Targets_monitor
-                     { container = id; va; pfn; owner = oname (Hw.Phys_mem.Container k) })
-            | Cki.Ksm.Guest_ptp _ when pkey <> Hw.Pks.pkey_ptp ->
-                (* I2: outside the pkey_ptp read-only view, any mapping
-                   of a declared PTP is suspect; a writable one is the
-                   classic nested-kernel break. *)
-                if writable then add (Guest_writable_ptp { container = id; ptp = pfn; va })
-                else add (Maps_declared_ptp { container = id; va; ptp = pfn })
-            | Cki.Ksm.Guest_ptp _ | Cki.Ksm.Guest_data -> ()
-          end
-      | Hw.Phys_mem.Container _ when Hw.Phys_mem.is_shared_ro mem pfn ->
-          (* CoW-shared template frame: another container's frame is
-             legitimately visible here, but only read-only — the
-             blanket check below flags any writable mapping. *)
-          ()
-      | (Hw.Phys_mem.Host | Hw.Phys_mem.Ksm _) as o ->
-          add (Targets_monitor { container = id; va; pfn; owner = oname o })
-      | o -> add (Outside_delegation { container = id; va; pfn; owner = oname o }));
+      (* Frames of this container and its KSM are tested against the
+         owner word directly; only a foreign frame decodes its owner. *)
+      if Hw.Phys_mem.owned_by mem pfn mine_ksm then begin
+        (* The monitor's own regions (KSM code/data, per-vCPU areas)
+           are the only legitimate mappings of monitor frames, and
+           they carry pkey_ksm so guest rights exclude them. *)
+        if not ((Cki.Layout.in_ksm va || Cki.Layout.in_pervcpu va) && pkey = Hw.Pks.pkey_ksm)
+        then add (Targets_monitor { container = id; va; pfn; owner = oname mine_ksm })
+      end
+      else if Hw.Phys_mem.owned_by mem pfn mine then begin
+        if not (Cki.Ksm.owns_frame ksm pfn) then begin
+          (* The guest kernel image is boot-allocated outside the
+             delegated segments: Kernel_code frames are legitimate
+             only read-only inside the image window. *)
+          let image_frame =
+            match Hw.Phys_mem.kind mem pfn with
+            | Hw.Phys_mem.Kernel_code -> in_kernel_image va && not writable
+            | _ -> false
+          in
+          if not image_frame then
+            add (Outside_delegation { container = id; va; pfn; owner = oname mine })
+        end
+        else begin
+          match Cki.Ksm.page_state_of ksm pfn with
+          | Cki.Ksm.Ksm_private ->
+              add (Targets_monitor { container = id; va; pfn; owner = oname mine })
+          | Cki.Ksm.Guest_ptp _ when pkey <> Hw.Pks.pkey_ptp ->
+              (* I2: outside the pkey_ptp read-only view, any mapping
+                 of a declared PTP is suspect; a writable one is the
+                 classic nested-kernel break. *)
+              if writable then add (Guest_writable_ptp { container = id; ptp = pfn; va })
+              else add (Maps_declared_ptp { container = id; va; ptp = pfn })
+          | Cki.Ksm.Guest_ptp _ | Cki.Ksm.Guest_data -> ()
+        end
+      end
+      else begin
+        match Hw.Phys_mem.owner mem pfn with
+        | Hw.Phys_mem.Container _ when Hw.Phys_mem.is_shared_ro mem pfn ->
+            (* CoW-shared template frame: another container's frame is
+               legitimately visible here, but only read-only — the
+               blanket check below flags any writable mapping. *)
+            ()
+        | (Hw.Phys_mem.Host | Hw.Phys_mem.Ksm _) as o ->
+            add (Targets_monitor { container = id; va; pfn; owner = oname o })
+        | o -> add (Outside_delegation { container = id; va; pfn; owner = oname o })
+      end;
       (* A CoW-shared frame (template pages referenced by warm clones,
          and the template's own frozen pages) must never be writable
          through any container's tables — a writable alias would let
          one clone corrupt every sibling. *)
-      if Hw.Phys_mem.is_shared_ro mem pfn && writable then
+      if writable && Hw.Phys_mem.is_shared_ro mem pfn then
         add (Cow_writable { container = id; va; pfn });
       (* The monitor's own leaves (pkey_ksm) are TCB and exempt; for
          everything guest-reachable: W^X, and no kernel-executable
@@ -162,11 +165,12 @@ let check_container (c : Cki.Container.t) : violation list =
   (* -------------------------------------------------------------- *)
   (* The walk                                                        *)
   (* -------------------------------------------------------------- *)
-  let visited : (Hw.Addr.pfn * int * Hw.Addr.va, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let visited : (Hw.Addr.pfn * int * Hw.Addr.va, unit) Hashtbl.t = Hashtbl.create 64 in
   let rec walk_table ~lvl ~table ~va_base =
     if not (Hashtbl.mem visited (table, lvl, va_base)) then begin
       Hashtbl.add visited (table, lvl, va_base) ();
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
+      (* Entries outside the written span read as zero: not present. *)
+      for idx = Hw.Phys_mem.written_lo mem table to Hw.Phys_mem.written_hi mem table do
         let e = read ~pfn:table ~index:idx in
         if Hw.Pte.is_present e then begin
           let va = va_base + (idx * span lvl) in
@@ -179,31 +183,30 @@ let check_container (c : Cki.Container.t) : violation list =
             if child < 0 || child >= total then
               add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
             else begin
-              (match Hw.Phys_mem.owner mem child with
-              | Hw.Phys_mem.Ksm k when k = id -> (
-                  match Hw.Phys_mem.kind mem child with
-                  | Hw.Phys_mem.Page_table l ->
-                      if l <> clvl then
-                        add
-                          (Ptp_level_mismatch
-                             { container = id; ptp = child; claimed = l; used_at = clvl })
-                  | k ->
+              if Hw.Phys_mem.owned_by mem child mine_ksm then begin
+                match Hw.Phys_mem.kind mem child with
+                | Hw.Phys_mem.Page_table l ->
+                    if l <> clvl then
                       add
-                        (Ptp_kind_mismatch
-                           { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k }))
-              | Hw.Phys_mem.Container k when k = id -> (
-                  match Cki.Ksm.page_state_of ksm child with
-                  | Cki.Ksm.Guest_ptp l ->
-                      if l <> clvl then
-                        add
-                          (Ptp_level_mismatch
-                             { container = id; ptp = child; claimed = l; used_at = clvl })
-                  | Cki.Ksm.Guest_data | Cki.Ksm.Ksm_private ->
+                        (Ptp_level_mismatch
+                           { container = id; ptp = child; claimed = l; used_at = clvl })
+                | k ->
+                    add
+                      (Ptp_kind_mismatch
+                         { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k })
+              end
+              else if Hw.Phys_mem.owned_by mem child mine then begin
+                match Cki.Ksm.page_state_of ksm child with
+                | Cki.Ksm.Guest_ptp l ->
+                    if l <> clvl then
                       add
-                        (Undeclared_ptp
-                           { container = id; table; index = idx; level = clvl; child }))
-              | _ ->
-                  add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child }));
+                        (Ptp_level_mismatch
+                           { container = id; ptp = child; claimed = l; used_at = clvl })
+                | Cki.Ksm.Guest_data | Cki.Ksm.Ksm_private ->
+                    add
+                      (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
+              end
+              else add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child });
               (* Descend only through frames whose metadata says they
                  hold a table: reading "entries" of a data frame would
                  fabricate an empty table and hide the corruption. *)
@@ -245,8 +248,11 @@ let check_container (c : Cki.Container.t) : violation list =
                  (strip expect))
           then add (Missing_splice { container = id; copy; slot = Cki.Layout.l4_pervcpu });
           (* A/D bits propagate from the copies, so compare modulo
-             accessed/dirty. *)
-          for slot = 0 to Cki.Layout.l4_user_max do
+             accessed/dirty.  Outside both written spans both entries
+             read zero and agree. *)
+          let lo = min (Hw.Phys_mem.written_lo mem root) (Hw.Phys_mem.written_lo mem copy) in
+          let hi = max (Hw.Phys_mem.written_hi mem root) (Hw.Phys_mem.written_hi mem copy) in
+          for slot = lo to min hi Cki.Layout.l4_user_max do
             if
               not
                 (Int64.equal (strip (read ~pfn:copy ~index:slot)) (strip (read ~pfn:root ~index:slot)))
@@ -349,12 +355,14 @@ let check_segments (containers : Cki.Container.t list) : violation list =
   List.iter
     (fun (id, segs, c) ->
       let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
+      let mine = Hw.Phys_mem.Container id in
       List.iter
         (fun (base, n) ->
           for pfn = base to base + n - 1 do
-            match Hw.Phys_mem.owner mem pfn with
-            | Hw.Phys_mem.Container k when k = id -> ()
-            | o -> add (Segment_owner { container = id; pfn; owner = Hw.Phys_mem.show_owner o })
+            if not (Hw.Phys_mem.owned_by mem pfn mine) then
+              add
+                (Segment_owner
+                   { container = id; pfn; owner = Hw.Phys_mem.show_owner (Hw.Phys_mem.owner mem pfn) })
           done)
         segs)
     info;

@@ -256,26 +256,29 @@ let destroy t =
   if has_live_clone_refs t then
     invalid_arg
       (Printf.sprintf "Container.destroy: container %d is a frozen template with live clones" id);
-  (* 1. Release CoW references on foreign shared frames. *)
+  (* 1. Release CoW references on foreign shared frames.  Only each
+     table's written span can hold a present entry. *)
   let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
+  let mine = Hw.Phys_mem.Container id and mine_ksm = Hw.Phys_mem.Ksm id in
+  (* Another container's or KSM's frame: neither free, nor the host's,
+     nor this container's own. *)
+  let foreign pfn =
+    not
+      (Hw.Phys_mem.owned_by mem pfn Hw.Phys_mem.Free
+      || Hw.Phys_mem.owned_by mem pfn Hw.Phys_mem.Host
+      || Hw.Phys_mem.owned_by mem pfn mine
+      || Hw.Phys_mem.owned_by mem pfn mine_ksm)
+  in
   let rec walk lvl pfn =
     if not (Hashtbl.mem visited pfn) then begin
       Hashtbl.replace visited pfn ();
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
+      for idx = Hw.Phys_mem.written_lo mem pfn to Hw.Phys_mem.written_hi mem pfn do
         let e = Hw.Phys_mem.read_entry mem ~pfn ~index:idx in
         if Hw.Pte.is_present e then begin
           let target = Hw.Pte.pfn e in
-          let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
-          if leaf then begin
-            let foreign =
-              match Hw.Phys_mem.owner mem target with
-              | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k <> id
-              | _ -> false
-            in
-            if foreign && Hw.Phys_mem.is_shared_ro mem target then
-              Hw.Phys_mem.decr_ref mem target
-          end
-          else walk (lvl - 1) target
+          if not (lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e)) then walk (lvl - 1) target
+          else if Hw.Phys_mem.is_shared_ro mem target && foreign target then
+            Hw.Phys_mem.decr_ref mem target
         end
       done
     end

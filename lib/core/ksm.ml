@@ -57,7 +57,9 @@ type t = {
   idt : Hw.Idt.t;  (** container IDT, resident in KSM memory *)
 }
 
-let owns_frame t pfn = List.exists (fun (b, n) -> pfn >= b && pfn < b + n) t.segments
+let owns_frame t pfn =
+  let rec go = function [] -> false | (b, n) :: rest -> (pfn >= b && pfn < b + n) || go rest in
+  go t.segments
 
 let desc t pfn =
   match Hashtbl.find_opt t.descs pfn with
@@ -307,7 +309,7 @@ let restore mem clock ~container_id ~pcid ~cfg ~pervcpu (imp : import) =
   let rec charge_direct lvl pfn =
     Hw.Clock.charge_id clock id_restore_table Hw.Cost.restore_frame;
     if lvl > 1 then
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
+      for idx = Hw.Phys_mem.written_lo t.mem pfn to Hw.Phys_mem.written_hi t.mem pfn do
         let e = read_raw t ~pfn ~index:idx in
         if Hw.Pte.is_present e then charge_direct (lvl - 1) (Hw.Pte.pfn e)
       done
@@ -514,8 +516,10 @@ let declare_root t ~pfn : (unit, error) result =
       List.iter (fun (idx, e) -> write_raw t ~pfn ~index:idx e) t.template;
       let copies =
         Array.init (Pervcpu.vcpus t.pervcpu) (fun v ->
+            (* A fresh frame reads as zeros: copying the root's written
+               span reproduces it entry for entry. *)
             let copy = alloc_ksm_frame t (Hw.Phys_mem.Page_table 4) in
-            for idx = 0 to Hw.Addr.entries_per_table - 1 do
+            for idx = Hw.Phys_mem.written_lo t.mem pfn to Hw.Phys_mem.written_hi t.mem pfn do
               write_raw t ~pfn:copy ~index:idx (read_raw t ~pfn ~index:idx)
             done;
             write_raw t ~pfn:copy ~index:Layout.l4_pervcpu (Pervcpu.l4_entry t.pervcpu v);
@@ -561,7 +565,7 @@ let release_root t ~root ~free_ptp : (unit, error) result =
   | Some info ->
       let rec free_subtree lvl table =
         if lvl > 1 then
-          for idx = 0 to Hw.Addr.entries_per_table - 1 do
+          for idx = Hw.Phys_mem.written_lo t.mem table to Hw.Phys_mem.written_hi t.mem table do
             let e = read_raw t ~pfn:table ~index:idx in
             if Hw.Pte.is_present e && not (Hw.Pte.is_huge e) then begin
               let child = Hw.Pte.pfn e in
@@ -574,7 +578,8 @@ let release_root t ~root ~free_ptp : (unit, error) result =
           done
       in
       (* Only the user-range slots hold guest-owned subtrees. *)
-      for idx = 0 to Layout.l4_user_max do
+      let user_hi = min Layout.l4_user_max (Hw.Phys_mem.written_hi t.mem root) in
+      for idx = Hw.Phys_mem.written_lo t.mem root to user_hi do
         let e = read_raw t ~pfn:root ~index:idx in
         if Hw.Pte.is_present e then begin
           let child = Hw.Pte.pfn e in

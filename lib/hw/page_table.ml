@@ -15,7 +15,6 @@ exception Translation_fault of { va : Addr.va; level : int }
 
 let create mem ~owner =
   let root = Phys_mem.alloc mem ~owner ~kind:(Phys_mem.Page_table 4) in
-  ignore (Phys_mem.table_entries mem root);
   { mem; root }
 
 let of_root mem root = { mem; root }
@@ -126,11 +125,12 @@ let update t va f =
 let set_accessed_dirty t va ~write =
   update t va (fun e -> if write then Pte.mark_dirty (Pte.mark_accessed e) else Pte.mark_accessed e)
 
-(* Fold over all present leaf mappings. *)
+(* Fold over all present leaf mappings.  Only each table's written
+   span can hold a present entry. *)
 let fold_leaves t f init =
   let rec go lvl table_pfn va_base acc =
     let acc = ref acc in
-    for i = 0 to Addr.entries_per_table - 1 do
+    for i = Phys_mem.written_lo t.mem table_pfn to Phys_mem.written_hi t.mem table_pfn do
       let e = Phys_mem.read_entry t.mem ~pfn:table_pfn ~index:i in
       if Pte.is_present e then begin
         let va = va_base lor (i lsl (Addr.page_shift + (9 * (lvl - 1)))) in

@@ -74,8 +74,22 @@ let decode_kind c =
   | 3 -> Ksm_data
   | 4 -> Kernel_code
   | 5 -> Device
-  | 6 -> Page_table (c lsr 3)
-  | _ -> Ept_table (c lsr 3)
+  (* Levels 1..4 return the preallocated constants, so table walks
+     that test a frame's kind allocate nothing. *)
+  | 6 -> (
+      match c lsr 3 with
+      | 1 -> Page_table 1
+      | 2 -> Page_table 2
+      | 3 -> Page_table 3
+      | 4 -> Page_table 4
+      | l -> Page_table l)
+  | _ -> (
+      match c lsr 3 with
+      | 1 -> Ept_table 1
+      | 2 -> Ept_table 2
+      | 3 -> Ept_table 3
+      | 4 -> Ept_table 4
+      | l -> Ept_table l)
 
 (* Free bitmap: 32 frames per word.  A power-of-two width keeps every
    word/bit index computation a shift or mask (no integer division on
@@ -182,6 +196,10 @@ let owner t pfn =
 let kind t pfn =
   check_pfn t pfn;
   decode_kind t.kind_of.(pfn)
+
+let owned_by t pfn o =
+  check_pfn t pfn;
+  t.owner_of.(pfn) = encode_owner o
 
 let is_free t pfn =
   check_pfn t pfn;
@@ -320,7 +338,7 @@ let alloc t ~owner ~kind =
    0.  This is the delegation primitive CKI uses for hPA segments, and
    the source of the paper's acknowledged fragmentation limitation.
    The bitmap lets the scan skip fully-allocated and fully-free words
-   62 frames at a time. *)
+   32 frames at a time. *)
 let alloc_contiguous t ~owner ~kind ~count =
   if count <= 0 then invalid_arg "Phys_mem.alloc_contiguous";
   let n = t.total_frames in
@@ -423,6 +441,21 @@ let table_entries t pfn =
   let s = ensure_slot t pfn in
   Array.init entries (fun i -> Bigarray.Array1.get t.arena ((s * entries) + i))
 
+(* The written span: every entry outside [written_lo, written_hi] reads
+   as zero (the arena invariant above), and a slot-less frame has the
+   empty span [entries, -1].  Table walkers iterate only this span. *)
+let written_lo t pfn =
+  check_pfn t pfn;
+  trace_read t pfn;
+  let s = t.table_slot.(pfn) in
+  if s < 0 then entries else t.dirty_lo.(s)
+
+let written_hi t pfn =
+  check_pfn t pfn;
+  trace_read t pfn;
+  let s = t.table_slot.(pfn) in
+  if s < 0 then -1 else t.dirty_hi.(s)
+
 let read_entry t ~pfn ~index =
   check_pfn t pfn;
   if index < 0 || index >= entries then invalid_arg "Phys_mem.read_entry";
@@ -507,14 +540,27 @@ let count_owned t owner_pred =
   done;
   !c
 
-(* One pass over the packed owner words: bit 1 marks [Container]/[Ksm]
-   and the id sits above it, so nothing is decoded or allocated.  Pfn
-   order; freeing the visited frame only rewrites the word already read. *)
+(* One pass over the packed owner words of the allocated frames: a
+   bitmap word whose 32 frames are all free is skipped whole, so the
+   sweep costs one read per bitmap word plus one per frame of a word
+   that holds an allocated frame.  Bit 1 of an owner word marks
+   [Container]/[Ksm] and the id sits above it, so nothing is decoded or
+   allocated.  Pfn order; each word's free bits are read when the sweep
+   reaches it, and freeing the visited frame only rewrites state the
+   sweep has already read. *)
 let iter_owned t ~id f =
-  let owner_of = t.owner_of in
-  for pfn = 0 to t.total_frames - 1 do
-    let c = owner_of.(pfn) in
-    if c land 2 <> 0 && c lsr 2 = id then f pfn
+  let owner_of = t.owner_of and free_bits = t.free_bits in
+  let last = Array.length free_bits - 1 in
+  for w = 0 to last do
+    (* Only the last word can be partial. *)
+    if free_bits.(w) <> if w < last then full_word else word_mask t w then begin
+      let base = w lsl word_shift in
+      for pfn = base to min (base + bits_per_word) t.total_frames - 1 do
+        let c = owner_of.(pfn) in
+        if c land 2 <> 0 && c lsr 2 = id && free_bits.(w) land (1 lsl (pfn land bit_mask)) = 0
+        then f pfn
+      done
+    end
   done
 
 let free_frames t = t.free_count

@@ -46,6 +46,11 @@ val mem_id : t -> int
     accesses on [(mem_id, pfn)] rather than the bare pfn. *)
 val owner : t -> Addr.pfn -> owner
 val kind : t -> Addr.pfn -> kind
+
+val owned_by : t -> Addr.pfn -> owner -> bool
+(** [owned_by t pfn o] is [equal_owner (owner t pfn) o], tested on the
+    frame's packed owner word: nothing is decoded, and nothing is
+    allocated when [o] is a constant or built once by the caller. *)
 val is_free : t -> Addr.pfn -> bool
 
 val alloc : t -> owner:owner -> kind:kind -> Addr.pfn
@@ -83,6 +88,18 @@ val table_entries : t -> Addr.pfn -> int64 array
 (** Fresh snapshot copy of the frame's 512 entries (acquiring the
     frame's arena slot if it has none). Mutating the returned array
     does not write memory — use {!write_entry}. *)
+val written_lo : t -> Addr.pfn -> int
+val written_hi : t -> Addr.pfn -> int
+(** The frame's written span: every entry outside
+    [[written_lo, written_hi]] reads [0L].  Every writer
+    ({!write_entry}, {!write_word}, {!write_bytes}) widens the span and
+    only {!clear_table}, {!free} and re-allocation reset it, so it may
+    also cover entries written back to zero.  A frame that was never
+    written has the empty span [(512, -1)].  O(1), allocates nothing,
+    and reports one read of the frame to the access trace, so
+    [for i = written_lo t pfn to written_hi t pfn] visits every entry
+    that can be non-zero. *)
+
 val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
@@ -109,10 +126,12 @@ val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
     [dst] from [off].  A frame never written reads as zeros. *)
 
 val iter_owned : t -> id:int -> (Addr.pfn -> unit) -> unit
-(** [iter_owned t ~id f] calls [f] on every frame owned by [Container id]
-    or [Ksm id], in increasing pfn order.  One pass over the packed
-    owner words: nothing is decoded or allocated.  [f] may free the
-    frame it is given. *)
+(** [iter_owned t ~id f] calls [f] on every allocated frame owned by
+    [Container id] or [Ksm id], in increasing pfn order.  Runs of 32
+    free frames (one free-bitmap word) are skipped whole, so the cost is
+    one read per 32 frames plus one per frame that shares a bitmap word
+    with an allocated frame; nothing is decoded or allocated.  [f] may
+    free the frame it is given. *)
 
 val count_owned : t -> (owner -> bool) -> int
 val free_frames : t -> int

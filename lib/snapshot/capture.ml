@@ -51,27 +51,30 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
   let segs = Cki.Ksm.segments ksm in
   let seg_bases = Array.of_list (List.map fst segs) in
   let seg_sizes = Array.of_list (List.map snd segs) in
-  let seg_of pfn =
-    let found = ref None in
-    Array.iteri
-      (fun i base -> if pfn >= base && pfn < base + seg_sizes.(i) then found := Some (i, pfn - base))
-      seg_bases;
-    !found
+  (* Index of the segment holding [pfn], or -1. *)
+  let seg_index pfn =
+    let rec go i =
+      if i = Array.length seg_bases then -1
+      else if pfn >= seg_bases.(i) && pfn < seg_bases.(i) + seg_sizes.(i) then i
+      else go (i + 1)
+    in
+    go 0
   in
+  let mine = Hw.Phys_mem.Container id and mine_ksm = Hw.Phys_mem.Ksm id in
   (* Auxiliary frames, numbered in first-reference order. *)
   let aux_ids : (Hw.Addr.pfn, int) Hashtbl.t = Hashtbl.create 64 in
   let aux_rev = ref [] in
   let aux_count = ref 0 in
   let register_aux pfn =
-    match Hashtbl.find_opt aux_ids pfn with
-    | Some i -> i
-    | None ->
+    match Hashtbl.find aux_ids pfn with
+    | i -> i
+    | exception Not_found ->
         let kind =
-          match (Hw.Phys_mem.owner mem pfn, Hw.Phys_mem.kind mem pfn) with
-          | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Page_table l when k = id -> Image.Pt l
-          | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Ksm_code when k = id -> Image.Ksm_code
-          | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Ksm_data when k = id -> Image.Ksm_data
-          | Hw.Phys_mem.Container k, Hw.Phys_mem.Kernel_code when k = id -> Image.Kernel_code
+          match Hw.Phys_mem.kind mem pfn with
+          | Hw.Phys_mem.Page_table l when Hw.Phys_mem.owned_by mem pfn mine_ksm -> Image.Pt l
+          | Hw.Phys_mem.Ksm_code when Hw.Phys_mem.owned_by mem pfn mine_ksm -> Image.Ksm_code
+          | Hw.Phys_mem.Ksm_data when Hw.Phys_mem.owned_by mem pfn mine_ksm -> Image.Ksm_data
+          | Hw.Phys_mem.Kernel_code when Hw.Phys_mem.owned_by mem pfn mine -> Image.Kernel_code
           | _ -> raise (Fail (Foreign_frame pfn))
         in
         let i = !aux_count in
@@ -81,9 +84,9 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         i
   in
   let ref_of pfn =
-    match seg_of pfn with
-    | Some (seg, off) -> Image.Seg { seg; off }
-    | None -> Image.Aux (register_aux pfn)
+    let seg = seg_index pfn in
+    if seg >= 0 then Image.Seg { seg; off = pfn - seg_bases.(seg) }
+    else Image.Aux (register_aux pfn)
   in
   (* Table walk. *)
   let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -94,7 +97,8 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
       let frame_ref = ref_of pfn in
       let entries = ref [] in
       let children = ref [] in
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
+      (* Entries outside the written span read as zero: not present. *)
+      for idx = Hw.Phys_mem.written_lo mem pfn to Hw.Phys_mem.written_hi mem pfn do
         (* The direct-map subtree is deliberately not captured: its VA
            layout keys on this machine's physical addresses
            (va = direct_map_base + pa), so Ksm.restore rebuilds it from
@@ -161,7 +165,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
       if not (Hashtbl.mem direct_tables pfn) then begin
         Hashtbl.replace direct_tables pfn ();
         if lvl > 1 then
-          for idx = 0 to Hw.Addr.entries_per_table - 1 do
+          for idx = Hw.Phys_mem.written_lo mem pfn to Hw.Phys_mem.written_hi mem pfn do
             let e = Hw.Phys_mem.read_entry mem ~pfn ~index:idx in
             if Hw.Pte.is_present e then collect_direct (lvl - 1) (Hw.Pte.pfn e)
           done
@@ -172,10 +176,11 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     (* Completeness: every frame this container owns outside its
        segments must be in the auxiliary table by now. *)
     Hw.Phys_mem.iter_owned mem ~id (fun pfn ->
-        match Hw.Phys_mem.owner mem pfn with
-        | Hw.Phys_mem.Ksm _ when Hashtbl.mem direct_tables pfn -> ()
-        | Hw.Phys_mem.Container _ when Cki.Ksm.owns_frame ksm pfn -> ()
-        | _ -> if not (Hashtbl.mem aux_ids pfn) then raise (Fail (Unreachable_frame pfn)));
+        let exempt =
+          if Hw.Phys_mem.owned_by mem pfn mine_ksm then Hashtbl.mem direct_tables pfn
+          else Cki.Ksm.owns_frame ksm pfn
+        in
+        if not (exempt || Hashtbl.mem aux_ids pfn) then raise (Fail (Unreachable_frame pfn)));
     (* Monitor metadata.  The direct-map template slot is omitted along
        with its subtree. *)
     let ptps =
@@ -222,9 +227,9 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     let buddy_blocks =
       Kernel_model.Buddy.allocated_blocks c.buddy
       |> List.map (fun (pfn, order) ->
-             match seg_of pfn with
-             | Some (seg, off) -> (seg_starts.(seg) + off, order)
-             | None -> raise (Fail (Foreign_frame pfn)))
+             let seg = seg_index pfn in
+             if seg < 0 then raise (Fail (Foreign_frame pfn))
+             else (seg_starts.(seg) + pfn - seg_bases.(seg), order))
     in
     let fs = Kernel_model.Kernel.fs kernel in
     let ino_path : (int, string) Hashtbl.t = Hashtbl.create 64 in

@@ -279,10 +279,13 @@ let materialized_frames (c : Cki.Container.t) =
   let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
   let id = c.Cki.Container.container_id in
   let meta = ref 0 in
+  let ksm_owner = Hw.Phys_mem.Ksm id in
   Hw.Phys_mem.iter_owned mem ~id (fun pfn ->
-      match (Hw.Phys_mem.owner mem pfn, Hw.Phys_mem.kind mem pfn) with
-      | Hw.Phys_mem.Ksm _, _ | _, (Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code) -> incr meta
-      | _ -> ());
+      if Hw.Phys_mem.owned_by mem pfn ksm_owner then incr meta
+      else
+        match Hw.Phys_mem.kind mem pfn with
+        | Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code -> incr meta
+        | _ -> ());
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
   List.fold_left
     (fun acc (task : Kernel_model.Task.t) ->

@@ -275,6 +275,73 @@ let test_ptp_kind_mismatch () =
   Hw.Phys_mem.set_kind (mem_of c) ptp Hw.Phys_mem.Data;
   fires "declared PTP with data kind" "I1-kind-mismatch" (scan c)
 
+(* Corruption at the ends of sparse tables on a warm clone.  The
+   scanner reads only each table's written span, so a PTE planted just
+   outside the span a table had before must still be visited: the
+   planting write widens the span. *)
+let warm_clone () =
+  let host = Cki.Host.create (Hw.Machine.create ~mem_mib:64 ()) in
+  let cfg = { Cki.Config.default with Cki.Config.segment_frames = 2048; vcpus = 1 } in
+  match Snapshot.Template.create (Cki.Container.create ~cfg host) with
+  | Error e -> fail (Snapshot.Template.show_error e)
+  | Ok tpl -> (
+      match Snapshot.Template.clone tpl with
+      | Ok c -> c
+      | Error e -> fail (Snapshot.Template.show_error e))
+
+(* The table at [lvl] (4 = root) on [va]'s path under the kernel root. *)
+let table_on_path c va ~lvl =
+  let mem = mem_of c in
+  let rec go l table =
+    if l = lvl then table
+    else
+      go (l - 1)
+        (Hw.Pte.pfn (Hw.Phys_mem.read_entry mem ~pfn:table ~index:(Hw.Addr.index_at_level ~lvl:l va)))
+  in
+  go 4 (Cki.Ksm.kernel_root (Cki.Container.ksm c))
+
+let test_edge_undeclared_ptp () =
+  let c = warm_clone () in
+  check int "the clone scans clean" 0 (List.length (scan c));
+  let va = 0x4000_0000 in
+  ignore (map_user c ~va);
+  let l2 = table_on_path c va ~lvl:2 in
+  let mem = mem_of c in
+  check int "the L2 table's span starts at 0" 0 (Hw.Phys_mem.written_lo mem l2);
+  check_bool "and ends below 511" true (Hw.Phys_mem.written_hi mem l2 < 511);
+  let rogue = Kernel_model.Buddy.alloc (Cki.Container.buddy c) in
+  raw_write c ~pfn:l2 ~index:511
+    (Hw.Pte.make ~pfn:rogue ~flags:{ Hw.Pte.default_flags with writable = true; user = true });
+  let vs = scan c in
+  fires "undeclared PTP at index 511" "I1-undeclared-ptp" vs;
+  check_bool "reported at table index 511" true
+    (List.exists
+       (function
+         | Analysis.Invariants.Undeclared_ptp { table; index; child; _ } ->
+             table = l2 && index = 511 && child = rogue
+         | _ -> false)
+       vs)
+
+let test_edge_writable_ptp_alias () =
+  let c = warm_clone () in
+  (* The sixth page of a fresh 2 MiB region: its L1 table's span is [5..5]. *)
+  let region = 0x4020_0000 in
+  ignore (map_user c ~va:(region + (5 * Hw.Addr.page_size)));
+  let l1 = table_on_path c region ~lvl:1 in
+  let mem = mem_of c in
+  check int "the L1 table's span starts at 5" 5 (Hw.Phys_mem.written_lo mem l1);
+  check_bool "the L1 table is a declared PTP" true (Cki.Ksm.is_declared_ptp (Cki.Container.ksm c) l1);
+  raw_write c ~pfn:l1 ~index:0
+    (Hw.Pte.make ~pfn:l1 ~flags:{ Hw.Pte.default_flags with writable = true; user = true; nx = true });
+  let vs = scan c in
+  fires "writable alias of a PTP at index 0" "I2-writable-ptp" vs;
+  check_bool "reported at the region's first page" true
+    (List.exists
+       (function
+         | Analysis.Invariants.Guest_writable_ptp { ptp; va; _ } -> ptp = l1 && va = region
+         | _ -> false)
+       vs)
+
 let test_segment_owner () =
   let c = mk () in
   let base, _ = List.hd (Cki.Ksm.segments (Cki.Container.ksm c)) in
@@ -592,6 +659,8 @@ let suite =
         test_case "I1: PTP kind mismatch" `Quick test_ptp_kind_mismatch;
         test_case "segment ownership" `Quick test_segment_owner;
         test_case "stale TLB after unmap" `Quick test_stale_tlb;
+        test_case "I1 at the last entry of a sparse table" `Quick test_edge_undeclared_ptp;
+        test_case "I2 at the first entry of a sparse table" `Quick test_edge_writable_ptp_alias;
       ] );
     ( "analysis-lint",
       [

@@ -156,10 +156,9 @@ let visited m id =
   Hw.Phys_mem.iter_owned m ~id (fun pfn -> acc := pfn :: !acc);
   List.rev !acc
 
-let churned_mem seed =
+let churned_mem ?(frames = 301) seed =
   let rng = Random.State.make [| seed |] in
-  (* Not a multiple of the 32-frame bitmap word. *)
-  let m = Hw.Phys_mem.create ~frames:301 in
+  let m = Hw.Phys_mem.create ~frames in
   let random_owner () =
     let k = Random.State.int rng 4 in
     match Random.State.int rng 3 with
@@ -181,7 +180,48 @@ let churned_mem seed =
   done;
   m
 
+(* Frames allocated in pfn order, 32-frame bitmap word by word: word
+   [w mod 3 = 0] wholly owned by [Container 1], [w mod 3 = 1] wholly
+   free, [w mod 3 = 2] mixed (owned, host, KSM-owned and free frames). *)
+let patterned_mem frames =
+  let m = Hw.Phys_mem.create ~frames in
+  let owner pfn =
+    match ((pfn / 32) mod 3, pfn mod 4) with
+    | 0, _ -> Some (Hw.Phys_mem.Container 1)
+    | 1, _ | 2, 3 -> None
+    | 2, 0 -> Some (Hw.Phys_mem.Container 1)
+    | 2, 1 -> Some Hw.Phys_mem.Host
+    | _ -> Some (Hw.Phys_mem.Ksm 1)
+  in
+  for pfn = 0 to frames - 1 do
+    let o = Option.value (owner pfn) ~default:Hw.Phys_mem.Host in
+    check_int "allocation in pfn order" pfn (Hw.Phys_mem.alloc m ~owner:o ~kind:Hw.Phys_mem.Data)
+  done;
+  for pfn = 0 to frames - 1 do
+    if owner pfn = None then Hw.Phys_mem.free m pfn
+  done;
+  m
+
 let test_iter_owned_matches_filter () =
+  (* Frame counts that end on, just past and short of a bitmap word. *)
+  List.iter
+    (fun frames ->
+      let m = patterned_mem frames in
+      for id = 0 to 2 do
+        check (list int)
+          (Printf.sprintf "%d frames, id %d: free, owned and mixed words" frames id)
+          (owned_reference m id) (visited m id)
+      done)
+    [ 1; 31; 32; 33; 96; 97; 150; 301 ];
+  List.iter
+    (fun (frames, seed) ->
+      let m = churned_mem ~frames seed in
+      for id = 0 to 4 do
+        check (list int)
+          (Printf.sprintf "%d churned frames, seed %d, id %d" frames seed id)
+          (owned_reference m id) (visited m id)
+      done)
+    [ (31, 4); (64, 5); (65, 6); (95, 7) ];
   List.iter
     (fun seed ->
       let m = churned_mem seed in
@@ -220,6 +260,91 @@ let test_iter_owned_free_in_callback () =
   check_int "only Host frames remain allocated"
     (Hw.Phys_mem.count_owned m (fun o -> o = Hw.Phys_mem.Host))
     (Hw.Phys_mem.total_frames m - Hw.Phys_mem.free_frames m)
+
+(* The written span bounds every table walker: after any sequence of
+   arena writes, clears, frees and re-allocations, every entry outside
+   [written_lo, written_hi] reads zero, the span covers every index
+   written since the frame's last reset, and a frame not written since
+   then (never given a slot, or scrubbed) has the empty span.  A model
+   holds the expected contents of each frame. *)
+let test_written_span_property () =
+  let frames = 8 and entries = Hw.Addr.entries_per_table in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let m = Hw.Phys_mem.create ~frames in
+      for _ = 1 to frames do
+        ignore (Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1))
+      done;
+      let model = Array.init frames (fun _ -> Array.make entries 0L) in
+      (* Lowest and highest index written since the frame's last reset. *)
+      let lo = Array.make frames entries and hi = Array.make frames (-1) in
+      let reset pfn =
+        Array.fill model.(pfn) 0 entries 0L;
+        lo.(pfn) <- entries;
+        hi.(pfn) <- -1
+      in
+      let wrote pfn a b =
+        lo.(pfn) <- min lo.(pfn) a;
+        hi.(pfn) <- max hi.(pfn) b
+      in
+      let value () =
+        (* Zero often, so entries written back to zero stay in the span. *)
+        if Random.State.int rng 4 = 0 then 0L else Random.State.int64 rng Int64.max_int
+      in
+      for step = 1 to 400 do
+        let pfn = Random.State.int rng frames in
+        (match Random.State.int rng 6 with
+        | 0 ->
+            let index = Random.State.int rng entries and v = value () in
+            Hw.Phys_mem.write_entry m ~pfn ~index v;
+            model.(pfn).(index) <- v;
+            wrote pfn index index
+        | 1 ->
+            let index = Random.State.int rng entries and v = Random.State.bits rng in
+            Hw.Phys_mem.write_word m ~pfn ~index v;
+            model.(pfn).(index) <- Int64.of_int v;
+            wrote pfn index index
+        | 2 ->
+            let len = Random.State.int rng 64 in
+            let b = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+            Hw.Phys_mem.write_bytes m ~pfn b ~off:0 ~len;
+            if len > 0 then begin
+              let words = (len + 7) / 8 in
+              let padded = Bytes.make (words * 8) '\000' in
+              Bytes.blit b 0 padded 0 len;
+              for w = 0 to words - 1 do
+                model.(pfn).(w) <- Bytes.get_int64_le padded (w * 8)
+              done;
+              wrote pfn 0 (words - 1)
+            end
+        | 3 ->
+            Hw.Phys_mem.clear_table m pfn;
+            reset pfn
+        | 4 ->
+            Hw.Phys_mem.free m pfn;
+            check_int "re-alloc returns the freed frame" pfn
+              (Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1));
+            reset pfn
+        | _ -> ());
+        for f = 0 to frames - 1 do
+          let wlo = Hw.Phys_mem.written_lo m f and whi = Hw.Phys_mem.written_hi m f in
+          let where = Printf.sprintf "seed %d step %d frame %d" seed step f in
+          if hi.(f) < 0 then begin
+            check_int (where ^ ": empty span lo") entries wlo;
+            check_int (where ^ ": empty span hi") (-1) whi
+          end
+          else
+            check_bool (where ^ ": span covers every write") true (wlo <= lo.(f) && whi >= hi.(f));
+          for index = 0 to entries - 1 do
+            let got = Hw.Phys_mem.read_entry m ~pfn:f ~index in
+            if got <> model.(f).(index) then failf "%s: entry %d differs from the model" where index;
+            if (index < wlo || index > whi) && got <> 0L then
+              failf "%s: entry %d outside the span is non-zero" where index
+          done
+        done
+      done)
+    [ 1; 2; 3; 4; 5 ]
 
 (* --------------------------- Page_table --------------------------- *)
 
@@ -327,6 +452,7 @@ let suite =
         test_case "refcount" `Quick test_phys_refcount;
         test_case "iter_owned matches an owner filter" `Quick test_iter_owned_matches_filter;
         test_case "iter_owned callback may free" `Quick test_iter_owned_free_in_callback;
+        test_case "written span bounds every non-zero entry" `Quick test_written_span_property;
       ] );
     ( "hw/page_table",
       [

@@ -680,6 +680,42 @@ let test_encode_matches_reference () =
        (fun (_, data) -> String.exists (fun c -> Char.code c >= 0x80) data)
        binary.Snapshot.Image.files)
 
+(* Allocation budgets for verifying and destroying one warm clone (a
+   32 MiB delegation, 512 resident heap pages).  The table walks test
+   ownership on packed owner words and visit only each table's written
+   span, so their heap traffic follows the clone's present entries:
+   mostly the one boxed [int64] per entry read.  Each budget is the
+   measured value (64,416 and 29,090 words) plus headroom. *)
+let check_machine_words = 72_000.0
+let destroy_words = 33_000.0
+
+let budget_clone () =
+  let host = mk_host () in
+  let c = boot_ready ~pages:512 host in
+  let tpl = template_exn c in
+  (* One clone verified and destroyed first, so lazily built state is
+     not charged to the measured one. *)
+  let warm = clone_exn tpl in
+  ignore (Analysis.check_machine ~containers:[ warm ]);
+  Cki.Container.destroy warm;
+  clone_exn tpl
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_check_machine_alloc_budget () =
+  let c = budget_clone () in
+  let words = minor_words (fun () -> check int "clean" 0 (List.length (Analysis.check_machine ~containers:[ c ]))) in
+  if words > check_machine_words then
+    failf "check_machine: %.0f minor words, budget %.0f" words check_machine_words
+
+let test_destroy_alloc_budget () =
+  let c = budget_clone () in
+  let words = minor_words (fun () -> Cki.Container.destroy c) in
+  if words > destroy_words then failf "destroy: %.0f minor words, budget %.0f" words destroy_words
+
 let suite =
   [
     ( "snapshot",
@@ -700,5 +736,10 @@ let suite =
         test_case "declared counts are enforced in decode" `Quick test_decode_count_mismatch;
         test_case "fnv1a64 matches the published vectors" `Quick test_fnv1a64_vectors;
         test_case "encode matches the Printf reference" `Quick test_encode_matches_reference;
+      ] );
+    ( "clone-alloc",
+      [
+        test_case "check_machine of a warm clone within budget" `Quick test_check_machine_alloc_budget;
+        test_case "destroy of a warm clone within budget" `Quick test_destroy_alloc_budget;
       ] );
   ]
